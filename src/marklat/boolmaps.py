@@ -17,6 +17,10 @@ solver.  The extremal numbers minimize the size of the P-region (or its
 d-mark slice) over all weighted labelings (gamma_tilde) or over the
 representable ones (gamma).
 
+One walk over the weighted labelings, an explicit-stack search over bit
+masks of word indexes, sits behind ``enumerate_wbm``; one sweep over
+``enumerate_wbm`` serves every minimum and the report.
+
 These notions degenerate when no negative mark exists (r = n): the
 negative witness word is missing, so enumeration yields nothing there
 and the extremal numbers are restricted to 1 <= r <= n-1.
@@ -29,7 +33,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterator, Optional
 
-from .core import LatticeParams, Word, enumerate_words, leq
+from .core import LatticeParams, Word, enumerate_words
 from .errors import DomainError, ResourceLimitError
 from .feasibility import feasible_point
 from .weights import NrFunction, induced_map
@@ -148,14 +152,19 @@ def _tables(params: LatticeParams):
     words = list(diagram.words())
     index = {w: i for i, w in enumerate(words)}
     count = len(words)
-    up = [0] * count
-    down = [0] * count
+    # close the cover relation: words are listed by rank, so every upper
+    # cover of word i sits at a larger index
+    up = [1 << i for i in range(count)]
+    down = list(up)
+    covers = [[] for _ in range(count)]
+    for lo, hi in diagram.edges:
+        covers[index[lo]].append(index[hi])
+    for i in reversed(range(count)):
+        for k in covers[i]:
+            up[i] |= up[k]
     for i in range(count):
-        wi = words[i]
-        for k in range(count):
-            if leq(wi, words[k]):
-                up[i] |= 1 << k
-                down[k] |= 1 << i
+        for k in covers[i]:
+            down[k] |= down[i]
     comp = [index[w.complement()] for w in words]
     decision = [index[w] for level in reversed(diagram.levels) for w in level]
     return words, index, tuple(up), tuple(down), tuple(comp), tuple(decision)
@@ -215,9 +224,11 @@ def _enumerate_wbm(params: LatticeParams, cap: int) -> Iterator[BooleanMap]:
         return
 
     emitted = 0
-
-    def walk(pos, neg, at):
-        nonlocal emitted
+    # pending branches sit on an explicit stack, not the call stack, so
+    # the lattice's depth never meets the recursion limit
+    stack = [(*state, 0)]
+    while stack:
+        pos, neg, at = stack.pop()
         decided = pos | neg
         while at < count and decided >> decision[at] & 1:
             at += 1
@@ -232,16 +243,12 @@ def _enumerate_wbm(params: LatticeParams, cap: int) -> Iterator[BooleanMap]:
                 params,
                 frozenset(words[i] for i in range(count) if pos >> i & 1),
             )
-            return
+            continue
         i = decision[at]
-        st = set_n(pos, neg, i)
-        if st is not None:
-            yield from walk(st[0], st[1], at + 1)
-        st = set_p(pos, neg, i)
-        if st is not None:
-            yield from walk(st[0], st[1], at + 1)
-
-    yield from walk(state[0], state[1], 0)
+        # the P branch goes on the stack first, so the N branch runs first
+        for st in (set_p(pos, neg, i), set_n(pos, neg, i)):
+            if st is not None:
+                stack.append((*st, at + 1))
 
 
 @dataclass(frozen=True)
@@ -254,18 +261,6 @@ class RepresentabilityResult:
         return "representable" if self.representable else "not-representable"
 
 
-def _cover_maps(params: LatticeParams):
-    from .hasse import build
-
-    diagram = build(params)
-    parents = {w: [] for w in diagram.words()}
-    kids = {w: [] for w in diagram.words()}
-    for lo, hi in diagram.edges:
-        parents[hi].append(lo)
-        kids[lo].append(hi)
-    return parents, kids
-
-
 def is_representable(bmap: BooleanMap, require_weight: bool = True) -> RepresentabilityResult:
     """Decide exactly whether some admissible valuation induces the map
     (with ``require_weight``, some weight-flagged valuation).
@@ -276,15 +271,17 @@ def is_representable(bmap: BooleanMap, require_weight: bool = True) -> Represent
     """
     params = bmap.params
     n, r = params.n, params.r
-    parents, kids = _cover_maps(params)
+    words, index, up, down, _, _ = _tables(params)
     p = bmap.p_set
-    for w, ks in kids.items():
-        if w in p and any(k not in p for k in ks):
-            return RepresentabilityResult(False, None)
+    pos = 0
+    for w in p:
+        pos |= 1 << index[w]
+    if any(up[index[w]] & ~pos for w in p):
+        return RepresentabilityResult(False, None)
     # the map is monotone, so constraining only the boundary words is
     # enough: every other word row is implied through the symbol chain
-    minimal_p = [w for w in p if not any(u in p for u in parents[w])]
-    maximal_n = [w for w in parents if w not in p and all(k in p for k in kids[w])]
+    minimal_p = [w for w in p if down[index[w]] & pos == 1 << index[w]]
+    maximal_n = [w for i, w in enumerate(words) if up[i] & ~pos == 1 << i]
 
     rows = []
     if r:
@@ -350,32 +347,54 @@ def _check_extremal_params(params: LatticeParams, d: Optional[int]):
         raise DomainError(f"need 1 <= d <= n, got d={d} for {params}")
 
 
-def _min_over_wbm(params, d, representable_only, cap, n_guard) -> ExtremalResult:
+def _sweep(params, d, cap, n_guard, representable, collect=False):
+    """The one pass behind every extremal number and the report.
+
+    Sizes each weighted labeling's P-region on the d-mark slice (all
+    words when d is None) and returns ``(wb, rwb, tilde, best, witness,
+    bad)``: the labeling count, the representable count, the first
+    ``(size, map)`` minimum over all labelings and over the representable
+    ones, the valuation inducing the latter, and the non-representable
+    maps when ``collect`` is set.  Without ``representable`` no LP runs
+    and only ``wb`` and ``tilde`` are filled in.
+    """
     _check_extremal_params(params, d)
-    best = None
+    wb = rwb = 0
+    tilde = best = witness = None
+    bad = []
     for bmap in enumerate_wbm(params, cap=cap, n_guard=n_guard):
-        witness = None
-        if representable_only:
-            res = is_representable(bmap)
-            if not res.representable:
-                continue
-            witness = res.witness
         size = bmap.p_count if d is None else bmap.p_count_d(d)
-        if best is None or size < best.value:
-            best = ExtremalResult(size, bmap, witness)
-    if best is None:
+        wb += 1
+        if tilde is None or size < tilde[0]:
+            tilde = (size, bmap)
+        if not representable:
+            continue
+        res = is_representable(bmap)
+        if res.representable:
+            rwb += 1
+            if best is None or size < best[0]:
+                best, witness = (size, bmap), res.witness
+        elif collect:
+            bad.append(bmap)
+    return wb, rwb, tilde, best, witness, bad
+
+
+def _minimum(params, d, representable, cap, n_guard) -> ExtremalResult:
+    _, _, tilde, best, witness, _ = _sweep(params, d, cap, n_guard, representable)
+    found = best if representable else tilde
+    if found is None:
         raise DomainError(f"no admissible labeling exists for {params}")
-    return best
+    return ExtremalResult(found[0], found[1], witness)
 
 
 def gamma_tilde(params, *, cap=DEFAULT_CAP, n_guard=DEFAULT_N_GUARD) -> ExtremalResult:
     """Minimum P-region size over all weighted labelings."""
-    return _min_over_wbm(params, None, False, cap, n_guard)
+    return _minimum(params, None, False, cap, n_guard)
 
 
 def gamma_tilde_d(params, d, *, cap=DEFAULT_CAP, n_guard=DEFAULT_N_GUARD) -> ExtremalResult:
     """Minimum count of P-labeled d-mark words over all weighted labelings."""
-    return _min_over_wbm(params, d, False, cap, n_guard)
+    return _minimum(params, d, False, cap, n_guard)
 
 
 def gamma(params, *, cap=DEFAULT_CAP, n_guard=DEFAULT_N_GUARD) -> ExtremalResult:
@@ -384,13 +403,13 @@ def gamma(params, *, cap=DEFAULT_CAP, n_guard=DEFAULT_N_GUARD) -> ExtremalResult
     This equals the minimum of alpha over weight valuations: restricting
     to induced labelings does not change the minimum.
     """
-    return _min_over_wbm(params, None, True, cap, n_guard)
+    return _minimum(params, None, True, cap, n_guard)
 
 
 def gamma_d(params, d, *, cap=DEFAULT_CAP, n_guard=DEFAULT_N_GUARD) -> ExtremalResult:
     """Minimum count of P-labeled d-mark words over the representable
     weighted labelings."""
-    return _min_over_wbm(params, d, True, cap, n_guard)
+    return _minimum(params, d, True, cap, n_guard)
 
 
 def psi(n: int, d: int, *, cap=DEFAULT_CAP, n_guard=DEFAULT_N_GUARD) -> ExtremalResult:
@@ -442,25 +461,11 @@ def wb_vs_rwb_report(
 ) -> ExtremalReport:
     """Enumerate every weighted labeling once, recording representability,
     both extremal minima, and (optionally) each non-representable map."""
-    _check_extremal_params(params, d)
-    wb = rwb = 0
-    best_tilde = best_gamma = None
-    minimizer = witness = None
-    bad = []
-    for bmap in enumerate_wbm(params, cap=cap, n_guard=n_guard):
-        size = bmap.p_count if d is None else bmap.p_count_d(d)
-        wb += 1
-        if best_tilde is None or size < best_tilde:
-            best_tilde = size
-        res = is_representable(bmap)
-        if res.representable:
-            rwb += 1
-            if best_gamma is None or size < best_gamma:
-                best_gamma = size
-                minimizer = bmap
-                witness = res.witness
-        elif collect_non_representable:
-            bad.append(bmap)
+    wb, rwb, tilde, best, witness, bad = _sweep(
+        params, d, cap, n_guard, True, collect_non_representable
+    )
+    best_tilde = None if tilde is None else tilde[0]
+    best_gamma, minimizer = (None, None) if best is None else best
     if wb == rwb and best_tilde != best_gamma:
         raise RuntimeError(
             "consistency violated: every labeling is representable but the "

@@ -17,13 +17,6 @@ from .core import LatticeParams, enumerate_d_slice, enumerate_words
 from .errors import DomainError, ResourceLimitError
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return value
-
-
 def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
@@ -142,12 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="marklat",
         description="Construct and analyze mark-word lattices and their extremal numbers.",
-    )
-    parser.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=1,
-        help="worker count accepted for interface stability; execution is sequential",
     )
     subs = parser.add_subparsers(dest="verb", required=True)
 

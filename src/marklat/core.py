@@ -479,8 +479,3 @@ def enumerate_d_slice(params: LatticeParams, d: int) -> list:
     if not 1 <= d <= params.n:
         raise DomainError(f"need 1 <= d <= n, got d={d} for {params}")
     return [w for w in enumerate_words(params) if w.nonzero_count == d]
-
-
-def _all_words_by_mask(params: LatticeParams) -> list:
-    # fast unordered enumeration, for set-level work
-    return [Word(params, m) for m in range(1 << params.n)]

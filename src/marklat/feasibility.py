@@ -113,7 +113,8 @@ def feasible_point(rows: Sequence, num_vars: int) -> Optional[list]:
     for i in range(m):
         point[basis[i]] = tableau[i][-1]
     solution = [point[k] - point[num_vars + k] for k in range(num_vars)]
-    assert satisfies(rows, solution)
+    if not satisfies(rows, solution):
+        raise RuntimeError("simplex solution fails its own rows; the tableau is corrupt")
     return solution
 
 

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -163,6 +164,20 @@ class TestEnumerate:
         with pytest.raises(ResourceLimitError):
             enumerate_wbm(LatticeParams(6, 1))
 
+    def test_walk_depth_does_not_grow_with_the_lattice(self):
+        depth = 0
+        frame = sys._getframe()
+        while frame is not None:
+            depth += 1
+            frame = frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 40)
+        try:
+            count = sum(1 for _ in enumerate_wbm(LatticeParams(6, 3), n_guard=6))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert count == 2250
+
 
 class TestRepresentability:
     def test_weight_flag_separates_this_map(self):
@@ -228,13 +243,24 @@ class TestGamma:
                 gamma_tilde(LatticeParams(3, bad_r))
 
     def test_d_slice_variants_match_direct_minimum(self):
-        for n, r in [(3, 1), (3, 2), (4, 2)]:
-            p = LatticeParams(n, r)
-            pool = list(enumerate_wbm(p))
-            rep = [m for m in pool if is_representable(m).representable]
-            for d in range(1, n + 1):
-                assert gamma_tilde_d(p, d).value == min(m.p_count_d(d) for m in pool)
-                assert gamma_d(p, d).value == min(m.p_count_d(d) for m in rep)
+        # min() keeps the first of tied maps: every minimizer must be the
+        # first minimum in enumeration order, the one the CLI prints
+        for n in (2, 3, 4):
+            for r in range(1, n):
+                p = LatticeParams(n, r)
+                pool = list(enumerate_wbm(p))
+                rep = [m for m in pool if is_representable(m).representable]
+                for d in range(1, n + 1):
+                    first = min(pool, key=lambda m: m.p_count_d(d))
+                    first_rep = min(rep, key=lambda m: m.p_count_d(d))
+                    tilde, exact = gamma_tilde_d(p, d), gamma_d(p, d)
+                    assert (tilde.value, tilde.minimizer) == (first.p_count_d(d), first)
+                    assert (exact.value, exact.minimizer) == (first_rep.p_count_d(d), first_rep)
+                    assert wb_vs_rwb_report(p, d).minimizer == exact.minimizer
+                exact = gamma(p)
+                assert gamma_tilde(p).minimizer == min(pool, key=lambda m: m.p_count)
+                assert exact.minimizer == min(rep, key=lambda m: m.p_count)
+                assert wb_vs_rwb_report(p).minimizer == exact.minimizer
 
     def test_d_out_of_range(self):
         with pytest.raises(DomainError):

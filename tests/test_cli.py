@@ -39,14 +39,6 @@ class TestUsage:
         assert code == 0
         assert "enumerate" in out
 
-    def test_threads_flag_accepted(self, capsys):
-        code, out, err = run(capsys, "--threads", "4", "enumerate", "--n", "2", "--r", "1")
-        assert code == 0
-
-    def test_threads_must_be_positive(self, capsys):
-        code, out, err = run(capsys, "--threads", "0", "enumerate", "--n", "2", "--r", "1")
-        assert code == 2
-
 
 class TestEnumerate:
     def test_plain_lines(self, capsys):

@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+
+from marklat import feasibility
 from marklat.feasibility import feasible_point, satisfies
 
 from helpers import SEED
@@ -57,6 +60,13 @@ class TestSmallSystems:
     def test_unbounded_direction_still_yields_point(self):
         point = check([((-1, 0), 0)], 2)
         assert point is not None
+
+    def test_solution_check_survives_optimization(self, monkeypatch):
+        # the final check is an explicit raise, not an assert that
+        # python -O would strip
+        monkeypatch.setattr(feasibility, "satisfies", lambda rows, point: False)
+        with pytest.raises(RuntimeError):
+            feasible_point([((1,), F(3))], 1)
 
 
 class TestRandomized:
