@@ -1,29 +1,87 @@
-"""Exact rational feasibility for systems of linear inequalities.
+"""Exact feasibility for systems of linear inequalities, in integers.
 
 A system is a list of rows ``(coeffs, bound)`` meaning
 ``coeffs . x <= bound`` over ``num_vars`` free rational variables.
 ``feasible_point`` either returns one exact solution or proves there is
-none.  The decision runs a phase-one simplex over `fractions.Fraction`:
-free variables are split into nonnegative pairs, slacks turn the rows
-into equations, and artificial variables patch the rows whose right
-hand side starts negative.  Bland's smallest-index rule makes the walk
-deterministic and immune to cycling, so the search always terminates.
+none.  The decision runs a phase-one simplex: free variables are split
+into nonnegative pairs, slacks turn the rows into equations, and
+artificial variables patch the rows whose right hand side starts
+negative.  Bland's smallest-index rule makes the walk deterministic and
+immune to cycling, so the search always terminates.
+
+The tableau holds only integers.  One common multiple ``L`` of every
+denominator in the system clears the fractions: structural entries and
+right hand sides are multiplied by ``L`` while slack and artificial
+entries stay 1.  That rescales whole columns by positive factors, so
+every sign and every ratio the simplex reads is unchanged, and so is
+its walk.  (Scaling row by row would not do: the phase-one sums that
+pick the entering column add entries of different rows.)  Pivots are
+fraction-free (Edmonds, Bareiss): the true tableau is ``T / D`` for one
+divisor ``D > 0``, the last pivot element, starting at 1.  A pivot on
+row ``r`` and column ``c`` with element ``p`` updates every other row to
+``(T_i p - T_i[c] T_r) // D``; the division is exact because each entry
+stays a minor of the starting integer matrix.  When ``p == D``, as in
+most pivots on rows of 0, 1 and -1, the update is
+``T_i - T_i[c] T_r // D`` and changes only the pivot row's nonzero
+columns.  The phase-one sums are kept as one more row of the tableau
+and pivoted with it.
+
+Both answers are certified.  A returned point is checked against every
+row with `satisfies`.  When phase one stops with an artificial still
+positive, the phase-one sums on the slack columns give Farkas
+multipliers ``y >= 0`` with ``y A = 0`` and ``y b < 0``; `refutes`
+checks them before None is returned.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
-__all__ = ["feasible_point", "satisfies"]
+__all__ = ["feasible_point", "refutes", "satisfies"]
+
+
+def _exact(value):
+    """Ints stay ints; every other number becomes an exact Fraction."""
+    return value if type(value) is int else Fraction(value)
 
 
 def satisfies(rows: Sequence, point: Sequence) -> bool:
     """Exact check of every row at the given point."""
+    point = [_exact(v) for v in point]
+    scale = lcm(*{v.denominator for v in point})
+    ints = [v.numerator * (scale // v.denominator) for v in point]
     return all(
-        sum(Fraction(c) * Fraction(v) for c, v in zip(coeffs, point)) <= bound
+        sum(_exact(c) * v for c, v in zip(coeffs, ints)) <= _exact(bound) * scale
         for coeffs, bound in rows
     )
+
+
+def refutes(rows: Sequence, y: Sequence) -> bool:
+    """Exact check that multipliers ``y`` prove the rows infeasible.
+
+    Farkas: with ``y >= 0``, ``sum_i y_i coeffs_i = 0`` on every
+    variable and ``sum_i y_i bound_i < 0``, any point satisfying every
+    row would give ``0 <= sum_i y_i bound_i < 0``.
+    """
+    y = [_exact(v) for v in y]
+    if len(y) != len(rows) or any(v < 0 for v in y):
+        return False
+    combined = [0] * max((len(coeffs) for coeffs, _ in rows), default=0)
+    total = 0
+    for v, (coeffs, bound) in zip(y, rows):
+        if v:
+            for k, c in enumerate(coeffs):
+                combined[k] += v * _exact(c)
+            total += v * _exact(bound)
+    return total < 0 and not any(combined)
+
+
+def _refuted(rows, y) -> None:
+    if not refutes(rows, y):
+        raise RuntimeError("Farkas multipliers fail to refute the rows; the tableau is corrupt")
+    return None
 
 
 def feasible_point(rows: Sequence, num_vars: int) -> Optional[list]:
@@ -36,94 +94,106 @@ def feasible_point(rows: Sequence, num_vars: int) -> Optional[list]:
     if num_vars < 0:
         raise ValueError(f"num_vars must be nonnegative, got {num_vars}")
     cleaned = []
-    for coeffs, bound in rows:
+    kept = []  # the index in rows of each cleaned row
+    for index, (coeffs, bound) in enumerate(rows):
         if len(coeffs) != num_vars:
             raise ValueError(f"row has {len(coeffs)} coefficients, expected {num_vars}")
-        coeffs = [Fraction(c) for c in coeffs]
-        bound = Fraction(bound)
-        if not any(coeffs):
+        row = [_exact(c) for c in coeffs]
+        bound = _exact(bound)
+        if not any(row):
             if bound < 0:
-                return None
+                return _refuted(rows, [int(k == index) for k in range(len(rows))])
             continue
-        cleaned.append((coeffs, bound))
+        row.append(bound)
+        cleaned.append(row)
+        kept.append(index)
     if not cleaned:
         return [Fraction(0)] * num_vars
 
     m = len(cleaned)
-    # columns: x+ (num_vars), x- (num_vars), slacks (m), artificials (appended)
+    # columns: x+ (num_vars), x- (num_vars), slacks (m), artificials, rhs
     slack0 = 2 * num_vars
     art0 = slack0 + m
+    num_art = sum(1 for row in cleaned if row[-1] < 0)
+    scale = lcm(*{v.denominator for row in cleaned for v in row})
     tableau = []
     basis = []
-    artificial = []
-    for i, (coeffs, bound) in enumerate(cleaned):
-        row = coeffs + [-c for c in coeffs] + [Fraction(0)] * m + [bound]
-        row[slack0 + i] = Fraction(1)
-        if bound < 0:
-            row = [-v for v in row]
-        tableau.append(row)
-        if row[slack0 + i] == 1:
-            basis.append(slack0 + i)
+    art = art0
+    for i, row in enumerate(cleaned):
+        ints = [v.numerator * (scale // v.denominator) for v in row]
+        sign = -1 if ints[-1] < 0 else 1
+        ints = [sign * v for v in ints]
+        t = ints[:-1] + [-v for v in ints[:-1]] + [0] * (m + num_art) + ints[-1:]
+        t[slack0 + i] = sign
+        if sign < 0:
+            t[art] = 1
+            basis.append(art)
+            art += 1
         else:
-            basis.append(None)  # patched with an artificial below
-    for i in range(m):
-        if basis[i] is None:
-            col = art0 + len(artificial)
-            artificial.append(col)
-            for k, row in enumerate(tableau):
-                row.insert(len(row) - 1, Fraction(1 if k == i else 0))
-            basis[i] = col
+            basis.append(slack0 + i)
+        tableau.append(t)
 
-    num_cols = art0 + len(artificial)
-    art_set = set(artificial)
-
+    # the phase-one row: entry j is D times the sum of T[i][j] over the
+    # rows whose basic variable is artificial, less D on the artificial
+    # columns (their unit cost).  A structural or slack column with a
+    # positive entry improves the artificial total.  Basic columns are
+    # unit vectors pinned outside the artificial rows, so they are never
+    # candidates and need no exclusion
+    objective = [0] * (art0 + num_art + 1)
+    for t, b in zip(tableau, basis):
+        if b >= art0:
+            objective = [o + v for o, v in zip(objective, t)]
+            objective[b] -= 1
+    tableau.append(objective)
+    divisor = 1
     while True:
-        art_rows = [i for i in range(m) if basis[i] in art_set]
-        if not art_rows:
-            break
-        # reduced cost of a structural or slack column j is
-        # -(sum of T[i][j] over rows whose basic variable is artificial);
-        # entering improves the artificial total when that sum is positive.
-        # basic columns are unit vectors pinned outside the artificial rows,
-        # so they are never candidates and need no exclusion
-        entering = None
-        for j in range(art0):
-            if sum(tableau[i][j] for i in art_rows) > 0:
-                entering = j
-                break
+        entering = next((j for j in range(art0) if objective[j] > 0), None)
         if entering is None:
-            if any(tableau[i][-1] for i in art_rows):
-                return None  # optimum keeps some artificial positive
             break
         leaving = None
-        best = None
         for i in range(m):
-            coef = tableau[i][entering]
+            t = tableau[i]
+            coef = t[entering]
             if coef > 0:
-                ratio = tableau[i][-1] / coef
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
-                    leaving = i
+                # compare ratios t[-1] / coef by cross-multiplication
+                if leaving is None:
+                    leaving, num, den = i, t[-1], coef
+                    continue
+                lhs, rhs = t[-1] * den, num * coef
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
+                    leaving, num, den = i, t[-1], coef
         if leaving is None:
             raise RuntimeError("phase-one objective unbounded; the tableau is corrupt")
-        _pivot(tableau, leaving, entering)
+        pivot_row = tableau[leaving]
+        p = pivot_row[entering]
+        if p == divisor:
+            nonzero = [(j, b) for j, b in enumerate(pivot_row) if b]
+            for i, t in enumerate(tableau):
+                f = t[entering]
+                if f and i != leaving:
+                    for j, b in nonzero:
+                        t[j] -= f * b // divisor
+        else:
+            for i, t in enumerate(tableau):
+                if i != leaving:
+                    f = t[entering]
+                    tableau[i] = [(a * p - f * b) // divisor for a, b in zip(t, pivot_row)]
+        divisor = p
         basis[leaving] = entering
+        objective = tableau[m]
 
-    point = [Fraction(0)] * num_cols
-    for i in range(m):
-        point[basis[i]] = tableau[i][-1]
-    solution = [point[k] - point[num_vars + k] for k in range(num_vars)]
+    if objective[-1]:
+        # the optimum keeps some artificial positive: the phase-one entries
+        # are <= 0 on every slack and 0 on every structural column, so
+        # minus the slack entries are Farkas multipliers of the rows
+        y = [0] * len(rows)
+        for i, index in enumerate(kept):
+            y[index] = -objective[slack0 + i]
+        return _refuted(rows, y)
+    values = [0] * (art0 + num_art)
+    for t, b in zip(tableau, basis):
+        values[b] = t[-1]
+    solution = [Fraction(values[k] - values[num_vars + k], divisor) for k in range(num_vars)]
     if not satisfies(rows, solution):
         raise RuntimeError("simplex solution fails its own rows; the tableau is corrupt")
     return solution
-
-
-def _pivot(tableau, row, col):
-    pivot_row = tableau[row]
-    coef = pivot_row[col]
-    tableau[row] = [v / coef for v in pivot_row]
-    pivot_row = tableau[row]
-    for i, other in enumerate(tableau):
-        if i != row and other[col]:
-            factor = other[col]
-            tableau[i] = [a - factor * b for a, b in zip(other, pivot_row)]

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from marklat import feasibility
-from marklat.feasibility import feasible_point, satisfies
+from marklat.feasibility import feasible_point, refutes, satisfies
 
 from helpers import SEED
 
@@ -69,6 +69,45 @@ class TestSmallSystems:
             feasible_point([((1,), F(3))], 1)
 
 
+    def test_odd_minors_need_the_divisor_to_start_at_one(self):
+        # cleared by L = 2 the rows are (1, 1) and (1, 2), whose 2x2 minor
+        # is 1: a first divisor of L instead of 1 divides inexactly
+        half = F(1, 2)
+        rows = [
+            ((half, half), 1),
+            ((-half, -half), -1),
+            ((half, 1), F(3, 2)),
+            ((-half, -1), F(-3, 2)),
+        ]
+        assert check(rows, 2) == [1, 1]
+
+    def test_refutes_checks_farkas_multipliers(self):
+        # x <= 0 and -x <= -1: adding the rows gives 0 <= -1
+        rows = [((1,), 0), ((-1,), -1)]
+        assert refutes(rows, (1, 1))
+        assert refutes(rows, (F(1, 2), F(1, 2)))
+        assert not refutes(rows, (1, 0))
+        assert not refutes(rows, (0, 1))  # y b < 0 but y A != 0
+        assert not refutes(rows, (0, 0))
+        assert not refutes(rows, (1,))
+        # y A = 0 and y b < 0, but a negative multiplier flips a row
+        assert not refutes(rows + [((1,), 2)], (2, 1, -1))
+        assert refutes(rows + [((1,), 2)], (1, 1, 0))
+
+    def test_refutation_check_survives_optimization(self, monkeypatch):
+        # an infeasible answer is certified by an explicit raise, not an
+        # assert that python -O would strip
+        monkeypatch.setattr(feasibility, "refutes", lambda rows, y: False)
+        with pytest.raises(RuntimeError):
+            feasible_point([((1,), 0), ((-1,), -1)], 1)
+        with pytest.raises(RuntimeError):
+            feasible_point([((0,), -1)], 1)
+
+
+def fraction_row(rng, num_vars):
+    return tuple(F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(num_vars))
+
+
 class TestRandomized:
     def test_planted_solutions_are_found(self):
         rng = random.Random(SEED)
@@ -100,6 +139,46 @@ class TestRandomized:
                 for _ in range(rng.randint(0, 4))
             ]
             assert feasible_point(rows + extra, num_vars) is None
+
+    def test_planted_solutions_with_fraction_coefficients(self):
+        rng = random.Random(SEED + 3)
+        for trial in range(200):
+            num_vars = rng.randint(1, 5)
+            planted = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(num_vars)]
+            rows = []
+            for _ in range(rng.randint(1, 10)):
+                coeffs = fraction_row(rng, num_vars)
+                slack = F(rng.randint(0, 5), rng.randint(1, 4))
+                bound = sum(c * v for c, v in zip(coeffs, planted)) + slack
+                rows.append((coeffs, bound))
+            assert check(rows, num_vars) is not None
+
+    def test_planted_contradictions_with_fraction_coefficients(self, monkeypatch):
+        certificates = []
+        real_refutes = feasibility.refutes
+
+        def recording(rows, y):
+            certificates.append(real_refutes(rows, y))
+            return certificates[-1]
+
+        monkeypatch.setattr(feasibility, "refutes", recording)
+        rng = random.Random(SEED + 4)
+        infeasible = 0
+        for trial in range(100):
+            num_vars = rng.randint(1, 4)
+            coeffs = fraction_row(rng, num_vars)
+            if not any(coeffs):
+                continue
+            bound = F(rng.randint(-5, 5), rng.randint(1, 4))
+            gap = F(rng.randint(1, 4), rng.randint(1, 4))
+            rows = [(coeffs, bound), (tuple(-c for c in coeffs), -bound - gap)]
+            extra = [
+                (fraction_row(rng, num_vars), F(rng.randint(0, 9), rng.randint(1, 4)))
+                for _ in range(rng.randint(0, 4))
+            ]
+            assert feasible_point(rows + extra, num_vars) is None
+            infeasible += 1
+        assert certificates == [True] * infeasible
 
     def test_deterministic(self):
         rng = random.Random(SEED + 2)
