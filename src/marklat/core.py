@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Iterable
 
@@ -153,6 +154,25 @@ class Symbol:
 ZERO = Symbol(0)
 
 
+# The canonical string splits at the bar into a positive side fixed by
+# the low r mask bits and a negative side fixed by the rest.  Each side
+# is cached per (side length, side bits): lattices are walked mask by
+# mask, so the same sides recur across many words.  Digits take commas
+# once a side holds 10 marks.
+
+
+@lru_cache(maxsize=1 << 15)
+def _pos_text(r: int, bits: int) -> str:
+    pos = [str(i) for i in range(r, 0, -1) if bits >> (i - 1) & 1]
+    return ("," if r >= 10 else "").join(pos + ["0"] * (r - len(pos)))
+
+
+@lru_cache(maxsize=1 << 15)
+def _neg_text(m: int, bits: int) -> str:
+    neg = [str(j) for j in range(1, m + 1) if bits >> (j - 1) & 1]
+    return ("," if m >= 10 else "").join(["0"] * (m - len(neg)) + neg)
+
+
 class Word:
     """One lattice element: a subset of the nonzero marks, stored as a
     bit mask, rendered as a canonical string on demand.
@@ -256,13 +276,12 @@ class Word:
 
     def __str__(self):
         r = self.params.r
-        m = self.params.num_neg
-        vals = self.values
-        lsep = "," if r >= 10 else ""
-        rsep = "," if m >= 10 else ""
-        left = lsep.join(str(v) for v in vals[:r])
-        right = rsep.join(str(-v) for v in vals[r:])
-        return left + "|" + right
+        mask = self.mask
+        return (
+            _pos_text(r, mask & ((1 << r) - 1))
+            + "|"
+            + _neg_text(self.params.num_neg, mask >> r)
+        )
 
     def __repr__(self):
         return f"Word({str(self)!r}, n={self.params.n}, r={self.params.r})"

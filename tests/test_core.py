@@ -123,6 +123,18 @@ class TestWordBasics:
         assert s == "11,2,0,0,0,0,0,0,0,0,0|1"
         assert parse_word(p, s) == w
 
+    def test_str_spells_out_values(self):
+        # the string is rendered per side from the mask; it must agree with
+        # the position values, also across lattices that share side bits
+        for n, r in [(3, 1), (3, 2), (11, 1), (11, 10), (12, 2), (10, 0), (10, 10)]:
+            p = LatticeParams(n, r)
+            lsep = "," if r >= 10 else ""
+            rsep = "," if n - r >= 10 else ""
+            for w in all_words(p):
+                vals = w.values
+                want = lsep.join(str(v) for v in vals[:r]) + "|" + rsep.join(str(-v) for v in vals[r:])
+                assert str(w) == want
+
     def test_membership_to_string(self):
         p = LatticeParams(7, 5)
         w = word_from_subset(p, [Symbol.pos(1), Symbol.neg(1)])
