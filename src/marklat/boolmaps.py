@@ -1,6 +1,10 @@
 """Two-valued labelings of a word lattice and their extremal numbers.
 
-A labeling assigns P or N to every word; it is stored by its P-region.
+A labeling assigns P or N to every word.  It is stored as one int, the
+bit mask of its P-region over word masks: bit m is set when the word
+whose ``Word.mask`` is m is P, so the all-zero word is bit 0, the word
+using only neg(1) is bit ``1 << r`` and the full word is bit ``2^n - 1``.
+The set of P-labeled words (``p_set``) is derived from that mask.
 The admissible ("weighted") labelings are those where
 
 * the P-region is an up-set (``monotone``),
@@ -17,8 +21,8 @@ solver.  The extremal numbers minimize the size of the P-region (or its
 d-mark slice) over all weighted labelings (gamma_tilde) or over the
 representable ones (gamma).
 
-One walk over the weighted labelings, an explicit-stack search over bit
-masks of word indexes, sits behind ``enumerate_wbm``; one sweep over
+One walk over the weighted labelings, an explicit-stack search over
+those masks, sits behind ``enumerate_wbm``; one sweep over
 ``enumerate_wbm`` serves every minimum and the report.
 
 These notions degenerate when no negative mark exists (r = n): the
@@ -66,34 +70,61 @@ BASIC_AXIOMS = ("monotone", "zero_word", "negative_unit")
 WEIGHTED_AXIOMS = BASIC_AXIOMS + ("complement_pair", "full_word")
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=64)
+def _d_slice(n: int, d: int) -> int:
+    """Labeling mask of the words on exactly d marks."""
+    return sum(1 << m for m in range(1 << n) if m.bit_count() == d)
+
+
+@dataclass(frozen=True, init=False)
 class BooleanMap:
-    """A total P/N labeling, stored as the set of P-labeled words."""
+    """A total P/N labeling stored as a bit mask over word masks: bit m of
+    ``mask`` is set when the word whose ``Word.mask`` is m is P.  The set
+    of P-labeled words, ``p_set``, is derived from the mask on demand."""
 
     params: LatticeParams
-    p_set: frozenset
+    mask: int
 
-    def __post_init__(self):
-        for w in self.p_set:
-            if not isinstance(w, Word) or w.params != self.params:
-                raise DomainError(f"p_set entry {w!r} does not belong to {self.params}")
+    def __init__(self, params: LatticeParams, p_set):
+        mask = 0
+        for w in p_set:
+            if not isinstance(w, Word) or w.params != params:
+                raise DomainError(f"p_set entry {w!r} does not belong to {params}")
+            mask |= 1 << w.mask
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "mask", mask)
+
+    @classmethod
+    def _from_mask(cls, params: LatticeParams, mask: int) -> "BooleanMap":
+        # trusted constructor: mask must only hold bits below 2^n
+        bmap = object.__new__(cls)
+        object.__setattr__(bmap, "params", params)
+        object.__setattr__(bmap, "mask", mask)
+        return bmap
+
+    @property
+    def p_set(self) -> frozenset:
+        """The P-labeled words."""
+        return frozenset(
+            Word(self.params, m) for m in range(1 << self.params.n) if self.mask >> m & 1
+        )
 
     def is_positive(self, w: Word) -> bool:
         if w.params != self.params:
             raise DomainError(f"word from {w.params} against a map on {self.params}")
-        return w in self.p_set
+        return bool(self.mask >> w.mask & 1)
 
     def label(self, w: Word) -> str:
         return "P" if self.is_positive(w) else "N"
 
     @property
     def p_count(self) -> int:
-        return len(self.p_set)
+        return self.mask.bit_count()
 
     def p_count_d(self, d: int) -> int:
         if not 1 <= d <= self.params.n:
             raise DomainError(f"need 1 <= d <= n, got d={d} for {self.params}")
-        return sum(1 for w in self.p_set if w.nonzero_count == d)
+        return (self.mask & _d_slice(self.params.n, d)).bit_count()
 
 
 @dataclass(frozen=True)
@@ -103,18 +134,6 @@ class AxiomCheck:
     violated: tuple
 
 
-def _zero_word(params: LatticeParams) -> Word:
-    return Word(params, 0)
-
-
-def _negative_unit(params: LatticeParams) -> Word:
-    return Word(params, 1 << params.r)
-
-
-def _full_word(params: LatticeParams) -> Word:
-    return Word(params, (1 << params.n) - 1)
-
-
 def check_axioms(bmap: BooleanMap) -> AxiomCheck:
     """Check the five labeling conditions, reporting every violated one."""
     params = bmap.params
@@ -122,20 +141,19 @@ def check_axioms(bmap: BooleanMap) -> AxiomCheck:
         raise DomainError(
             "labeling conditions are unspecified without a negative mark (r = n)"
         )
-    from .hasse import build
-
-    diagram = build(params)
-    p = bmap.p_set
+    up, _, _ = _tables(params)
+    p = bmap.mask
+    full = (1 << params.n) - 1
     violated = []
-    if any(hi not in p for lo, hi in diagram.edges if lo in p):
+    if any(up[m] & ~p for m in range(full + 1) if p >> m & 1):
         violated.append("monotone")
-    if _zero_word(params) not in p:
+    if not p & 1:
         violated.append("zero_word")
-    if _negative_unit(params) in p:
+    if p >> (1 << params.r) & 1:
         violated.append("negative_unit")
-    if any(w not in p and w.complement() not in p for w in diagram.words()):
+    if any(not (p >> m & 1 or p >> (m ^ full) & 1) for m in range(full + 1)):
         violated.append("complement_pair")
-    if _full_word(params) not in p:
+    if not p >> full & 1:
         violated.append("full_word")
     is_bm = not any(v in BASIC_AXIOMS for v in violated)
     return AxiomCheck(is_bm, is_bm and len(violated) == 0, tuple(violated))
@@ -143,31 +161,22 @@ def check_axioms(bmap: BooleanMap) -> AxiomCheck:
 
 @lru_cache(maxsize=16)
 def _tables(params: LatticeParams):
-    """Per-lattice machinery for the labeling search: canonical word list,
-    closure bit masks over word indexes, complement mapping and the
-    top-down decision order."""
+    """Per-lattice machinery for the labeling search, indexed by word
+    mask: the up- and down-closure of every word as a labeling mask, and
+    the top-down decision order."""
     from .hasse import build
 
     diagram = build(params)
-    words = list(diagram.words())
-    index = {w: i for i, w in enumerate(words)}
-    count = len(words)
-    # close the cover relation: words are listed by rank, so every upper
-    # cover of word i sits at a larger index
-    up = [1 << i for i in range(count)]
+    up = [1 << m for m in range(1 << params.n)]
     down = list(up)
-    covers = [[] for _ in range(count)]
+    # close the cover relation level by level: edges are listed by the
+    # rank of their lower word
+    for lo, hi in reversed(diagram.edges):
+        up[lo.mask] |= up[hi.mask]
     for lo, hi in diagram.edges:
-        covers[index[lo]].append(index[hi])
-    for i in reversed(range(count)):
-        for k in covers[i]:
-            up[i] |= up[k]
-    for i in range(count):
-        for k in covers[i]:
-            down[k] |= down[i]
-    comp = [index[w.complement()] for w in words]
-    decision = [index[w] for level in reversed(diagram.levels) for w in level]
-    return words, index, tuple(up), tuple(down), tuple(comp), tuple(decision)
+        down[hi.mask] |= down[lo.mask]
+    decision = [w.mask for level in reversed(diagram.levels) for w in level]
+    return tuple(up), tuple(down), tuple(decision)
 
 
 def enumerate_wbm(
@@ -194,8 +203,9 @@ def enumerate_wbm(
 
 
 def _enumerate_wbm(params: LatticeParams, cap: int) -> Iterator[BooleanMap]:
-    words, index, up, down, comp, decision = _tables(params)
-    count = len(words)
+    up, down, decision = _tables(params)
+    full = (1 << params.n) - 1
+    count = full + 1
 
     def set_p(pos, neg, i):
         pos |= up[i]
@@ -209,17 +219,18 @@ def _enumerate_wbm(params: LatticeParams, cap: int) -> Iterator[BooleanMap]:
         m = new_n
         while m:
             b = m & -m
-            pos |= up[comp[b.bit_length() - 1]]
+            pos |= up[(b.bit_length() - 1) ^ full]
             m ^= b
         if pos & neg:
             return None
         return pos, neg
 
-    state = set_p(0, 0, index[_zero_word(params)])
+    # the zero word is P, the negative unit N and the full word P
+    state = set_p(0, 0, 0)
     if state is not None:
-        state = set_n(*state, index[_negative_unit(params)])
+        state = set_n(*state, 1 << params.r)
     if state is not None:
-        state = set_p(*state, index[_full_word(params)])
+        state = set_p(*state, full)
     if state is None:
         return
 
@@ -239,10 +250,7 @@ def _enumerate_wbm(params: LatticeParams, cap: int) -> Iterator[BooleanMap]:
                     count=emitted,
                 )
             emitted += 1
-            yield BooleanMap(
-                params,
-                frozenset(words[i] for i in range(count) if pos >> i & 1),
-            )
+            yield BooleanMap._from_mask(params, pos)
             continue
         i = decision[at]
         # the P branch goes on the stack first, so the N branch runs first
@@ -271,17 +279,14 @@ def is_representable(bmap: BooleanMap, require_weight: bool = True) -> Represent
     """
     params = bmap.params
     n, r = params.n, params.r
-    words, index, up, down, _, _ = _tables(params)
-    p = bmap.p_set
-    pos = 0
-    for w in p:
-        pos |= 1 << index[w]
-    if any(up[index[w]] & ~pos for w in p):
+    up, down, _ = _tables(params)
+    pos = bmap.mask
+    if any(up[m] & ~pos for m in range(1 << n) if pos >> m & 1):
         return RepresentabilityResult(False, None)
     # the map is monotone, so constraining only the boundary words is
     # enough: every other word row is implied through the symbol chain
-    minimal_p = [w for w in p if down[index[w]] & pos == 1 << index[w]]
-    maximal_n = [w for i, w in enumerate(words) if up[i] & ~pos == 1 << i]
+    minimal_p = [m for m in range(1 << n) if down[m] & pos == 1 << m]
+    maximal_n = [m for m in range(1 << n) if up[m] & ~pos == 1 << m]
 
     rows = []
     if r:
@@ -305,25 +310,24 @@ def is_representable(bmap: BooleanMap, require_weight: bool = True) -> Represent
     if require_weight:
         rows.append(((-1,) * n, 0))  # total over all marks >= 0
 
-    def word_row(w, sign):
+    def word_row(m, sign):
         e = [0] * n
-        m = w.mask
         while m:
             b = m & -m
             e[b.bit_length() - 1] = sign
             m ^= b
         return tuple(e)
 
-    for w in minimal_p:
-        rows.append((word_row(w, -1), 0))  # sum >= 0
-    for w in maximal_n:
-        rows.append((word_row(w, 1), -1))  # sum < 0, scaled to <= -1
+    for m in minimal_p:
+        rows.append((word_row(m, -1), 0))  # sum >= 0
+    for m in maximal_n:
+        rows.append((word_row(m, 1), -1))  # sum < 0, scaled to <= -1
 
     point = feasible_point(rows, n)
     if point is None:
         return RepresentabilityResult(False, None)
     witness = NrFunction(params, tuple(point[:r]), tuple(point[r:]))
-    if induced_map(witness).p_set != p:
+    if induced_map(witness).mask != pos:
         raise RuntimeError(f"feasibility witness fails to induce the map on {params}")
     return RepresentabilityResult(True, witness)
 
@@ -476,14 +480,10 @@ def wb_vs_rwb_report(
     )
 
 
-def _sorted_strings(params: LatticeParams, words) -> list:
-    wanted = set(words)
-    return [str(w) for w in enumerate_words(params) if w in wanted]
-
-
 def map_to_json(bmap: BooleanMap) -> dict:
     """JSON form of a labeling: its P-words in canonical order."""
-    return {"p_set": _sorted_strings(bmap.params, bmap.p_set)}
+    p = bmap.mask
+    return {"p_set": [str(w) for w in enumerate_words(bmap.params) if p >> w.mask & 1]}
 
 
 def report_to_json(report: ExtremalReport, include_non_representable: bool = True) -> dict:

@@ -267,10 +267,6 @@ class Word:
             and self.params.r == other.params.r
         )
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __hash__(self):
         return self._hash
 

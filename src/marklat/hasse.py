@@ -171,12 +171,8 @@ def split_parts(params: LatticeParams) -> LatticeSplit:
     n, r = params.n, params.r
     if n == 0:
         raise DomainError("the one-word lattice L(0, 0) has no split")
-    if r < n:
-        bit = 1 << (n - 1)  # neg(n - r) occupies the last mask bit
-        lower_has_bit = True
-    else:
-        bit = 1 << (n - 1)  # pos(n) under r = n
-        lower_has_bit = False
+    bit = 1 << (n - 1)  # neg(n - r), or pos(n) under r = n
+    lower_has_bit = r < n
     lower, upper = [], []
     for m in range(1 << n):
         if bool(m & bit) == lower_has_bit:

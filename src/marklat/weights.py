@@ -10,7 +10,8 @@ zero mark and the first negative mark).  When the values additionally
 sum to something nonnegative over all n marks, the valuation carries the
 *weight* flag.  The sum of a word is the sum of f over its string
 letters, i.e. over the subset of marks it uses.  Every computation in
-this module is exact: values are `fractions.Fraction` throughout.
+this module is exact: values are `fractions.Fraction`s, and the induced
+labeling compares integer sums after clearing denominators.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from importlib import resources
+from math import lcm
 from typing import Sequence
 
 from .core import LatticeParams, Symbol, Word, enumerate_words
@@ -156,25 +158,29 @@ def induced_map(f: NrFunction):
     """The boolean map sending a word to P exactly when its sum is >= 0."""
     from .boolmaps import BooleanMap  # deferred: boolmaps imports this module
 
-    p_set = frozenset(w for w in enumerate_words(f.params) if sigma(f, w) >= 0)
-    return BooleanMap(f.params, p_set)
+    # one common multiple of the denominators turns every sum into an int
+    # of the same sign; sums[m] is the sum over the marks in mask m
+    scale = lcm(*(v.denominator for v in f._by_bit))
+    sums = [0]
+    for v in f._by_bit:
+        step = v.numerator * (scale // v.denominator)
+        sums += [s + step for s in sums]
+    mask = 0
+    for w in enumerate_words(f.params):
+        if sums[w.mask] >= 0:
+            mask |= 1 << w.mask
+    return BooleanMap._from_mask(f.params, mask)
 
 
 def alpha_count(f: NrFunction) -> int:
     """How many of the 2^n words have nonnegative sum (the all-zero word
     always counts)."""
-    return sum(1 for w in enumerate_words(f.params) if sigma(f, w) >= 0)
+    return induced_map(f).p_count
 
 
 def phi_count(f: NrFunction, d: int) -> int:
     """How many words on exactly d marks have nonnegative sum."""
-    if not 1 <= d <= f.params.n:
-        raise DomainError(f"need 1 <= d <= n, got d={d} for {f.params}")
-    return sum(
-        1
-        for w in enumerate_words(f.params)
-        if w.nonzero_count == d and sigma(f, w) >= 0
-    )
+    return induced_map(f).p_count_d(d)
 
 
 def nr_function_to_json(f: NrFunction) -> dict:

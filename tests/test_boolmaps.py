@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import sys
 
@@ -73,8 +74,54 @@ class TestBooleanMap:
         with pytest.raises(DomainError):
             m.is_positive(Word(LatticeParams(2, 2), 0))
 
+    def test_p_set_round_trips_through_the_mask(self):
+        for n in range(1, 5):
+            for r in range(0, n):
+                p = LatticeParams(n, r)
+                for m in enumerate_wbm(p):
+                    again = BooleanMap(p, m.p_set)
+                    assert again == m and hash(again) == hash(m)
+                    assert m.p_count == len(m.p_set)
+                    for d in range(1, n + 1):
+                        assert m.p_count_d(d) == sum(
+                            1 for w in m.p_set if w.nonzero_count == d
+                        )
+
+    def test_is_frozen(self):
+        m = make_map(2, 1, ["0|0"])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.mask = 0
+
+
+def oracle_violations(params, p_set):
+    """The five conditions checked on words and Hasse edges directly."""
+    words = all_words(params)
+    violated = []
+    if any(lo in p_set and hi not in p_set for lo, hi in build(params).edges):
+        violated.append("monotone")
+    if Word(params, 0) not in p_set:
+        violated.append("zero_word")
+    if Word(params, 1 << params.r) in p_set:
+        violated.append("negative_unit")
+    if any(w not in p_set and complement(w) not in p_set for w in words):
+        violated.append("complement_pair")
+    if Word(params, (1 << params.n) - 1) not in p_set:
+        violated.append("full_word")
+    return tuple(violated)
+
 
 class TestCheckAxioms:
+    def test_matches_the_word_oracle_on_every_subset(self):
+        for n, r in [(2, 1), (3, 1), (3, 2)]:
+            p = LatticeParams(n, r)
+            words = all_words(p)
+            for bits in itertools.product((False, True), repeat=len(words)):
+                p_set = frozenset(w for w, b in zip(words, bits) if b)
+                want = oracle_violations(p, p_set)
+                chk = check_axioms(BooleanMap(p, p_set))
+                assert chk.violated == want
+                assert chk.is_bm == (not set(want) & {"monotone", "zero_word", "negative_unit"})
+                assert chk.is_wbm == (want == ())
     def test_all_p_fails_negative_unit_only(self):
         p = LatticeParams(3, 1)
         m = BooleanMap(p, frozenset(all_words(p)))

@@ -119,6 +119,8 @@ class TestCounts:
             for _ in range(10):
                 f = random_nr_function(p, rng)
                 nonneg = [w for w in words if sigma(f, w) >= 0]
+                # zero sums are P: the pool holds words that sum to 0
+                assert induced_map(f).p_set == frozenset(nonneg)
                 assert alpha_count(f) == len(nonneg)
                 for d in range(1, n + 1):
                     assert phi_count(f, d) == sum(
