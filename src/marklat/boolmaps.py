@@ -205,7 +205,10 @@ def enumerate_wbm(
 def _enumerate_wbm(params: LatticeParams, cap: int) -> Iterator[BooleanMap]:
     up, down, decision = _tables(params)
     full = (1 << params.n) - 1
-    count = full + 1
+    # rest[k]: the labeling mask of decision[k:]
+    rest = [0] * (full + 2)
+    for k in range(full, -1, -1):
+        rest[k] = rest[k + 1] | 1 << decision[k]
 
     def set_p(pos, neg, i):
         pos |= up[i]
@@ -214,13 +217,10 @@ def _enumerate_wbm(params: LatticeParams, cap: int) -> Iterator[BooleanMap]:
         return pos, neg
 
     def set_n(pos, neg, i):
-        new_n = down[i] & ~neg
+        # complement reverses the order, so the complements of the words
+        # below i are exactly the words above i's complement
         neg |= down[i]
-        m = new_n
-        while m:
-            b = m & -m
-            pos |= up[(b.bit_length() - 1) ^ full]
-            m ^= b
+        pos |= up[i ^ full]
         if pos & neg:
             return None
         return pos, neg
@@ -241,9 +241,7 @@ def _enumerate_wbm(params: LatticeParams, cap: int) -> Iterator[BooleanMap]:
     while stack:
         pos, neg, at = stack.pop()
         decided = pos | neg
-        while at < count and decided >> decision[at] & 1:
-            at += 1
-        if at == count:
+        if not rest[at] & ~decided:
             if emitted >= cap:
                 raise ResourceLimitError(
                     f"labeling enumeration for {params} exceeded the cap of {cap}",
@@ -252,6 +250,8 @@ def _enumerate_wbm(params: LatticeParams, cap: int) -> Iterator[BooleanMap]:
             emitted += 1
             yield BooleanMap._from_mask(params, pos)
             continue
+        while decided >> decision[at] & 1:
+            at += 1
         i = decision[at]
         # the P branch goes on the stack first, so the N branch runs first
         for st in (set_p(pos, neg, i), set_n(pos, neg, i)):

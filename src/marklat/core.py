@@ -493,4 +493,4 @@ def enumerate_d_slice(params: LatticeParams, d: int) -> list:
     """The words using exactly ``d`` nonzero marks, in canonical order."""
     if not 1 <= d <= params.n:
         raise DomainError(f"need 1 <= d <= n, got d={d} for {params}")
-    return [w for w in enumerate_words(params) if w.nonzero_count == d]
+    return [w for w in enumerate_words(params) if w.mask.bit_count() == d]

@@ -81,23 +81,22 @@ def s_convolution(n: int, r: int, k: int) -> int:
 
 @lru_cache(maxsize=None)
 def _census(n: int, r: int) -> tuple:
-    # per-mark rank contribution: +i for pos(i), -j for neg(j)
-    contrib = [i + 1 for i in range(r)] + [-(j + 1) for j in range(n - r)]
-    base = comb(n - r + 1, 2)
+    # ranks[mask] is the rank of the subset mask: the bottom's rank plus
+    # +i for pos(i) and -j for neg(j), built one mark at a time
+    ranks = [comb(n - r + 1, 2)]
+    for c in [i + 1 for i in range(r)] + [-(j + 1) for j in range(n - r)]:
+        ranks += [rk + c for rk in ranks]
     counts = [0] * (total_rank(n, r) + 1)
-    for mask in range(1 << n):
-        rk = base
-        m = mask
-        while m:
-            b = m & -m
-            rk += contrib[b.bit_length() - 1]
-            m ^= b
+    for rk in ranks:
         counts[rk] += 1
     return tuple(counts)
 
 
 def s_bruteforce(n: int, r: int, k: int) -> int:
-    """Count by walking every subset and computing its rank directly."""
+    """Count by listing the rank of every subset from its marks.
+
+    The list holds all 2^n ranks at once: 8 MB at BRUTE_FORCE_MAX_N = 20.
+    """
     _check_args(n, r, k)
     if n > BRUTE_FORCE_MAX_N:
         raise ResourceLimitError(

@@ -2,13 +2,13 @@
 
 A position of a word is a *generating index* when raising its symbol one
 step up the chain yields another canonical word; that bump is exactly a
-cover step.  Generating indexes on the positive side are emitted in
-ascending position order; on the negative side the two child orders
-differ:
-
-* ``OUT_IN`` (the default): negative generating indexes from the last
-  position inward, i.e. descending position.
-* ``LEFT_RIGHT``: negative generating indexes in ascending position.
+cover step.  On the subset of marks a word encodes, a bump trades pos(v)
+for an absent pos(v+1) (v < r), adds an absent pos(1) when the positive
+side has a free slot, drops neg(1), or trades neg(j) for an absent
+neg(j-1).  Children list the positive trades in descending v, then the
+pos(1) insertion, then the negative moves: in descending j (from the
+last string position inward) under ``OUT_IN``, the default, and in
+ascending j under ``LEFT_RIGHT``.
 
 The whole lattice is generated level by level from the bottom word:
 each level is the concatenation of the ordered children of the previous
@@ -67,31 +67,24 @@ def generating_indexes(w: Word) -> tuple:
     return tuple(pos), tuple(neg)
 
 
-def _ordered_child_vals(params: LatticeParams, vals: tuple, order: GenOrder) -> list:
+def _child_masks(params: LatticeParams, mask: int, order: GenOrder) -> list:
+    """Subset masks of the upper covers of the word ``mask``, in child order."""
     r = params.r
-    n = params.n
-    out = []
-    for k in range(r):
-        v = vals[k]
-        if v < r and (k == 0 or vals[k - 1] >= v + 2):
-            out.append(vals[:k] + (v + 1,) + vals[k + 1 :])
-    neg = []
-    for k in range(r, n):
-        v = vals[k]
-        if v < 0 and (k == r or vals[k - 1] > v + 1 or (vals[k - 1] == 0 and v == -1)):
-            neg.append(vals[:k] + (v + 1,) + vals[k + 1 :])
+    # trade pos(v) for an absent pos(v+1)
+    out = [mask ^ 3 << (v - 1) for v in range(r - 1, 0, -1) if mask >> (v - 1) & 3 == 1]
+    if not mask & 1 and (mask & ((1 << r) - 1)).bit_count() < r:
+        out.append(mask | 1)
+    # drop neg(1); trade neg(j) for an absent neg(j-1), at bits k = r+j-2, k+1
+    neg = [mask ^ 1 << r] if mask >> r & 1 else []
+    neg += [mask ^ 3 << k for k in range(r, params.n - 1) if mask >> k & 3 == 2]
     if order is GenOrder.OUT_IN:
         neg.reverse()
-    out.extend(neg)
-    return out
+    return out + neg
 
 
 def children(w: Word, order: GenOrder = GenOrder.OUT_IN) -> list:
     """The upper covers of ``w`` in the requested emission order."""
-    return [
-        Word._from_vals(w.params, v)
-        for v in _ordered_child_vals(w.params, w.values, GenOrder(order))
-    ]
+    return [Word(w.params, m) for m in _child_masks(w.params, w.mask, GenOrder(order))]
 
 
 @dataclass(frozen=True)
@@ -115,8 +108,7 @@ class HasseDiagram:
 
 @lru_cache(maxsize=64)
 def _build_cached(params: LatticeParams, order: GenOrder) -> HasseDiagram:
-    bottom_vals = (0,) * params.r + tuple(range(-1, -params.num_neg - 1, -1))
-    bottom = Word._from_vals(params, bottom_vals)
+    bottom = Word(params, ((1 << params.num_neg) - 1) << params.r)
     levels = [(bottom,)]
     edges = []
     current = [bottom]
@@ -125,11 +117,11 @@ def _build_cached(params: LatticeParams, order: GenOrder) -> HasseDiagram:
         nxt = []
         seen = {}
         for w in current:
-            for child_vals in _ordered_child_vals(params, w.values, order):
-                cw = seen.get(child_vals)
+            for child in _child_masks(params, w.mask, order):
+                cw = seen.get(child)
                 if cw is None:
-                    cw = Word._from_vals(params, child_vals)
-                    seen[child_vals] = cw
+                    cw = Word(params, child)
+                    seen[child] = cw
                     nxt.append(cw)
                 edges.append((w, cw))
         levels.append(tuple(nxt))
@@ -190,28 +182,30 @@ def to_dot(diagram: HasseDiagram) -> str:
     rank level is pinned with a same-rank group, and invisible edges
     preserve the left-to-right generation order inside a level.
     """
+    ids = {w: f'"{w}"' for w in diagram.words()}
     lines = [
         "digraph lattice {",
         "  rankdir=BT;",
         "  node [shape=box];",
     ]
     for level in diagram.levels:
-        ids = [f'"{w}"' for w in level]
-        if len(ids) == 1:
-            lines.append(f"  {{ rank=same; {ids[0]}; }}")
+        row = [ids[w] for w in level]
+        if len(row) == 1:
+            lines.append(f"  {{ rank=same; {row[0]}; }}")
         else:
-            lines.append(f"  {{ rank=same; {' -> '.join(ids)} [style=invis]; }}")
+            lines.append(f"  {{ rank=same; {' -> '.join(row)} [style=invis]; }}")
     for lo, hi in diagram.edges:
-        lines.append(f'  "{lo}" -> "{hi}";')
+        lines.append(f"  {ids[lo]} -> {ids[hi]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def diagram_to_json(diagram: HasseDiagram) -> dict:
     """JSON-ready dict: params, order, levels and edges as string forms."""
+    names = {w: str(w) for w in diagram.words()}
     return {
         "params": {"n": diagram.params.n, "r": diagram.params.r},
         "order": diagram.order.value,
-        "levels": [[str(w) for w in level] for level in diagram.levels],
-        "edges": [[str(lo), str(hi)] for lo, hi in diagram.edges],
+        "levels": [[names[w] for w in level] for level in diagram.levels],
+        "edges": [[names[lo], names[hi]] for lo, hi in diagram.edges],
     }

@@ -81,3 +81,86 @@ def poly_mul(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+def ordered_child_vals(params, vals, left_right):
+    """Children of a word as tuples of symbol heights: bump each
+    generating index one chain step, positive side in ascending position,
+    negative side descending (out-in) or ascending (``left_right``)."""
+    r, n = params.r, params.n
+    out = []
+    for k in range(r):
+        v = vals[k]
+        if v < r and (k == 0 or vals[k - 1] >= v + 2):
+            out.append(vals[:k] + (v + 1,) + vals[k + 1 :])
+    neg = []
+    for k in range(r, n):
+        v = vals[k]
+        if v < 0 and (k == r or vals[k - 1] > v + 1 or (vals[k - 1] == 0 and v == -1)):
+            neg.append(vals[:k] + (v + 1,) + vals[k + 1 :])
+    if not left_right:
+        neg.reverse()
+    return out + neg
+
+
+def tuple_levels_and_edges(params, left_right):
+    """Level-by-level generation on height tuples from the bottom word,
+    keeping each child's first occurrence: (levels, edges)."""
+    bottom = (0,) * params.r + tuple(range(-1, -params.num_neg - 1, -1))
+    levels = [[bottom]]
+    edges = []
+    for _ in range(params.total_rank):
+        nxt = []
+        seen = set()
+        for vals in levels[-1]:
+            for child in ordered_child_vals(params, vals, left_right):
+                if child not in seen:
+                    seen.add(child)
+                    nxt.append(child)
+                edges.append((vals, child))
+        levels.append(nxt)
+    return levels, edges
+
+
+def scan_walk_masks(params, up, down, decision):
+    """P-region masks of the weighted labelings in the order of a walk
+    that scans for the next undecided word and forces the complement of
+    every newly N word into P one bit at a time."""
+    full = (1 << params.n) - 1
+    count = full + 1
+
+    def set_p(pos, neg, i):
+        pos |= up[i]
+        return None if pos & neg else (pos, neg)
+
+    def set_n(pos, neg, i):
+        new_n = down[i] & ~neg
+        neg |= down[i]
+        while new_n:
+            b = new_n & -new_n
+            pos |= up[(b.bit_length() - 1) ^ full]
+            new_n ^= b
+        return None if pos & neg else (pos, neg)
+
+    state = set_p(0, 0, 0)
+    if state is not None:
+        state = set_n(*state, 1 << params.r)
+    if state is not None:
+        state = set_p(*state, full)
+    if state is None:
+        return []
+    out = []
+    stack = [(*state, 0)]
+    while stack:
+        pos, neg, at = stack.pop()
+        decided = pos | neg
+        while at < count and decided >> decision[at] & 1:
+            at += 1
+        if at == count:
+            out.append(pos)
+            continue
+        i = decision[at]
+        for st in (set_p(pos, neg, i), set_n(pos, neg, i)):
+            if st is not None:
+                stack.append((*st, at + 1))
+    return out

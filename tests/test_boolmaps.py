@@ -17,13 +17,14 @@ from marklat.boolmaps import (
     psi,
     report_to_json,
     wb_vs_rwb_report,
+    _tables,
 )
 from marklat.core import LatticeParams, Word, complement, enumerate_words, parse_word
 from marklat.errors import DomainError, ResourceLimitError
 from marklat.hasse import build
 from marklat.weights import induced_map, sigma
 
-from helpers import all_words
+from helpers import all_words, scan_walk_masks
 
 
 def make_map(n, r, strings):
@@ -210,6 +211,23 @@ class TestEnumerate:
         # the error fires at call time, not at first iteration
         with pytest.raises(ResourceLimitError):
             enumerate_wbm(LatticeParams(6, 1))
+
+    def test_order_matches_the_scanning_walk(self):
+        cases = [(n, r) for n in range(1, 6) for r in range(n)] + [(6, 3)]
+        for n, r in cases:
+            p = LatticeParams(n, r)
+            got = [m.mask for m in enumerate_wbm(p, n_guard=6)]
+            assert got == scan_walk_masks(p, *_tables(p))
+
+    def test_complement_maps_down_sets_onto_up_sets(self):
+        # the walk forces P on the up-set of i's complement when i turns N
+        for n in range(0, 9):
+            for r in range(0, n + 1):
+                up, down, _ = _tables(LatticeParams(n, r))
+                full = (1 << n) - 1
+                for m in range(full + 1):
+                    image = sum(1 << (b ^ full) for b in range(full + 1) if down[m] >> b & 1)
+                    assert up[m ^ full] == image
 
     def test_walk_depth_does_not_grow_with_the_lattice(self):
         depth = 0

@@ -14,7 +14,12 @@ from marklat.hasse import (
     to_dot,
 )
 
-from helpers import all_words, brute_cover_pairs
+from helpers import (
+    all_words,
+    brute_cover_pairs,
+    ordered_child_vals,
+    tuple_levels_and_edges,
+)
 
 
 class TestGeneratingIndexes:
@@ -66,6 +71,20 @@ class TestChildren:
 
 
 class TestBuild:
+    def test_matches_the_height_tuple_generator(self):
+        for n in range(0, 10):
+            for r in range(0, n + 1):
+                p = LatticeParams(n, r)
+                for order in GenOrder:
+                    left_right = order is GenOrder.LEFT_RIGHT
+                    levels, edges = tuple_levels_and_edges(p, left_right)
+                    d = build(p, order)
+                    assert [[w.values for w in level] for level in d.levels] == levels
+                    assert [(lo.values, hi.values) for lo, hi in d.edges] == edges
+                    for w in d.words():
+                        got = [c.values for c in children(w, order)]
+                        assert got == ordered_child_vals(p, w.values, left_right)
+
     def test_s63_first_levels_exact_order(self):
         d = build(LatticeParams(6, 3))
         assert [str(w) for w in d.levels[0]] == ["000|123"]
