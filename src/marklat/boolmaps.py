@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 from typing import Iterator, Optional
 
@@ -283,50 +284,38 @@ def is_representable(bmap: BooleanMap, require_weight: bool = True) -> Represent
     pos = bmap.mask
     if any(up[m] & ~pos for m in range(1 << n) if pos >> m & 1):
         return RepresentabilityResult(False, None)
+    # the weight flag asks for a nonnegative total, the full word's sum:
+    # exactly that the full word is P
+    if require_weight and not pos >> ((1 << n) - 1) & 1:
+        return RepresentabilityResult(False, None)
     # the map is monotone, so constraining only the boundary words is
-    # enough: every other word row is implied through the symbol chain
+    # enough: every other word's sum lies above a minimal P or below a
+    # maximal N one
     minimal_p = [m for m in range(1 << n) if down[m] & pos == 1 << m]
     maximal_n = [m for m in range(1 << n) if up[m] & ~pos == 1 << m]
 
-    rows = []
-    if r:
-        e = [0] * n
-        e[0] = -1
-        rows.append((tuple(e), 0))  # pos(1) >= 0
-    for i in range(r - 1):
-        e = [0] * n
-        e[i] = 1
-        e[i + 1] = -1
-        rows.append((tuple(e), 0))  # pos(i+1) <= pos(i+2)
-    if n - r:
-        e = [0] * n
-        e[r] = 1
-        rows.append((tuple(e), -1))  # neg(1) < 0, scaled to <= -1
-    for j in range(n - r - 1):
-        e = [0] * n
-        e[r + j] = -1
-        e[r + j + 1] = 1
-        rows.append((tuple(e), 0))  # neg(j+2) <= neg(j+1)
-    if require_weight:
-        rows.append(((-1,) * n, 0))  # total over all marks >= 0
+    # the variables are the chain increments, each >= 0: f(pos(1)), then
+    # f(pos(i+1)) - f(pos(i)), then -1 - f(neg(1)) (neg(1) < 0, scaled to
+    # <= -1), then f(neg(j)) - f(neg(j+1)).  A mark's value is a prefix
+    # sum of its side, so a word's sum gives each increment the count of
+    # the word's marks at or beyond it (negated on the negative side) and
+    # adds -1 per negative mark
+    low = (1 << r) - 1
 
     def word_row(m, sign):
-        e = [0] * n
-        while m:
-            b = m & -m
-            e[b.bit_length() - 1] = sign
-            m ^= b
-        return tuple(e)
+        e = [((m & low) >> k).bit_count() for k in range(r)]
+        e += [-(m >> k).bit_count() for k in range(r, n)]
+        return [sign * c for c in e]
 
-    for m in minimal_p:
-        rows.append((word_row(m, -1), 0))  # sum >= 0
-    for m in maximal_n:
-        rows.append((word_row(m, 1), -1))  # sum < 0, scaled to <= -1
+    rows = [(word_row(m, -1), -(m >> r).bit_count()) for m in minimal_p]  # sum >= 0
+    # sum < 0, scaled to <= -1
+    rows += [(word_row(m, 1), (m >> r).bit_count() - 1) for m in maximal_n]
 
     point = feasible_point(rows, n)
     if point is None:
         return RepresentabilityResult(False, None)
-    witness = NrFunction(params, tuple(point[:r]), tuple(point[r:]))
+    neg_values = tuple(-1 - v for v in accumulate(point[r:]))
+    witness = NrFunction(params, tuple(accumulate(point[:r])), neg_values)
     if induced_map(witness).mask != pos:
         raise RuntimeError(f"feasibility witness fails to induce the map on {params}")
     return RepresentabilityResult(True, witness)

@@ -1,13 +1,13 @@
 """Exact feasibility for systems of linear inequalities, in integers.
 
 A system is a list of rows ``(coeffs, bound)`` meaning
-``coeffs . x <= bound`` over ``num_vars`` free rational variables.
-``feasible_point`` either returns one exact solution or proves there is
-none.  The decision runs a phase-one simplex: free variables are split
-into nonnegative pairs, slacks turn the rows into equations, and
-artificial variables patch the rows whose right hand side starts
-negative.  Bland's smallest-index rule makes the walk deterministic and
-immune to cycling, so the search always terminates.
+``coeffs . x <= bound`` over ``num_vars`` nonnegative rational
+variables.  ``feasible_point`` either returns one exact solution
+``x >= 0`` or proves there is none.  The decision runs a phase-one
+simplex with one column per variable: slacks turn the rows into
+equations, and artificial variables patch the rows whose right hand side
+starts negative.  Bland's smallest-index rule makes the walk
+deterministic and immune to cycling, so the search always terminates.
 
 The tableau holds only integers.  One common multiple ``L`` of every
 denominator in the system clears the fractions: structural entries and
@@ -27,10 +27,10 @@ columns.  The phase-one sums are kept as one more row of the tableau
 and pivoted with it.
 
 Both answers are certified.  A returned point is checked against every
-row with `satisfies`.  When phase one stops with an artificial still
-positive, the phase-one sums on the slack columns give Farkas
-multipliers ``y >= 0`` with ``y A = 0`` and ``y b < 0``; `refutes`
-checks them before None is returned.
+row and for signs with `satisfies`.  When phase one stops with an
+artificial still positive, the phase-one sums on the slack columns give
+Farkas multipliers ``y >= 0`` with ``y A >= 0`` and ``y b < 0``;
+`refutes` checks them before None is returned.
 """
 
 from __future__ import annotations
@@ -48,8 +48,10 @@ def _exact(value):
 
 
 def satisfies(rows: Sequence, point: Sequence) -> bool:
-    """Exact check of every row at the given point."""
+    """Exact check that the point is nonnegative and meets every row."""
     point = [_exact(v) for v in point]
+    if any(v < 0 for v in point):
+        return False
     scale = lcm(*{v.denominator for v in point})
     ints = [v.numerator * (scale // v.denominator) for v in point]
     return all(
@@ -61,9 +63,9 @@ def satisfies(rows: Sequence, point: Sequence) -> bool:
 def refutes(rows: Sequence, y: Sequence) -> bool:
     """Exact check that multipliers ``y`` prove the rows infeasible.
 
-    Farkas: with ``y >= 0``, ``sum_i y_i coeffs_i = 0`` on every
-    variable and ``sum_i y_i bound_i < 0``, any point satisfying every
-    row would give ``0 <= sum_i y_i bound_i < 0``.
+    Farkas: with ``y >= 0``, ``sum_i y_i coeffs_i >= 0`` on every
+    variable and ``sum_i y_i bound_i < 0``, any point ``x >= 0``
+    satisfying every row would give ``0 <= sum_i y_i bound_i < 0``.
     """
     y = [_exact(v) for v in y]
     if len(y) != len(rows) or any(v < 0 for v in y):
@@ -75,7 +77,7 @@ def refutes(rows: Sequence, y: Sequence) -> bool:
             for k, c in enumerate(coeffs):
                 combined[k] += v * _exact(c)
             total += v * _exact(bound)
-    return total < 0 and not any(combined)
+    return total < 0 and all(c >= 0 for c in combined)
 
 
 def _refuted(rows, y) -> None:
@@ -85,11 +87,10 @@ def _refuted(rows, y) -> None:
 
 
 def feasible_point(rows: Sequence, num_vars: int) -> Optional[list]:
-    """One exact solution of ``coeffs . x <= bound`` rows, or None.
+    """One exact solution ``x >= 0`` of ``coeffs . x <= bound`` rows, or None.
 
-    Variables are unrestricted in sign; coefficients and bounds may be
-    ints or Fractions.  The returned point is deterministic for a given
-    system.
+    Coefficients and bounds may be ints or Fractions.  The returned
+    point is deterministic for a given system.
     """
     if num_vars < 0:
         raise ValueError(f"num_vars must be nonnegative, got {num_vars}")
@@ -111,8 +112,8 @@ def feasible_point(rows: Sequence, num_vars: int) -> Optional[list]:
         return [Fraction(0)] * num_vars
 
     m = len(cleaned)
-    # columns: x+ (num_vars), x- (num_vars), slacks (m), artificials, rhs
-    slack0 = 2 * num_vars
+    # columns: x (num_vars), slacks (m), artificials, rhs
+    slack0 = num_vars
     art0 = slack0 + m
     num_art = sum(1 for row in cleaned if row[-1] < 0)
     scale = lcm(*{v.denominator for row in cleaned for v in row})
@@ -123,7 +124,7 @@ def feasible_point(rows: Sequence, num_vars: int) -> Optional[list]:
         ints = [v.numerator * (scale // v.denominator) for v in row]
         sign = -1 if ints[-1] < 0 else 1
         ints = [sign * v for v in ints]
-        t = ints[:-1] + [-v for v in ints[:-1]] + [0] * (m + num_art) + ints[-1:]
+        t = ints[:-1] + [0] * (m + num_art) + ints[-1:]
         t[slack0 + i] = sign
         if sign < 0:
             t[art] = 1
@@ -184,8 +185,8 @@ def feasible_point(rows: Sequence, num_vars: int) -> Optional[list]:
 
     if objective[-1]:
         # the optimum keeps some artificial positive: the phase-one entries
-        # are <= 0 on every slack and 0 on every structural column, so
-        # minus the slack entries are Farkas multipliers of the rows
+        # are <= 0 on every slack and structural column, so minus the
+        # slack entries are Farkas multipliers of the rows
         y = [0] * len(rows)
         for i, index in enumerate(kept):
             y[index] = -objective[slack0 + i]
@@ -193,7 +194,7 @@ def feasible_point(rows: Sequence, num_vars: int) -> Optional[list]:
     values = [0] * (art0 + num_art)
     for t, b in zip(tableau, basis):
         values[b] = t[-1]
-    solution = [Fraction(values[k] - values[num_vars + k], divisor) for k in range(num_vars)]
+    solution = [Fraction(v, divisor) for v in values[:num_vars]]
     if not satisfies(rows, solution):
         raise RuntimeError("simplex solution fails its own rows; the tableau is corrupt")
     return solution

@@ -20,11 +20,12 @@ pairs of the lattice.
 from __future__ import annotations
 
 import enum
+from bisect import bisect
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .core import LatticeParams, Word
+from .core import LatticeParams, Word, delta
 from .errors import DomainError
 
 __all__ = [
@@ -50,21 +51,15 @@ class GenOrder(enum.Enum):
 def generating_indexes(w: Word) -> tuple:
     """1-based positions whose symbol can be bumped one chain step while
     keeping the word canonical.  Returns (positive side, negative side),
-    each in ascending position order."""
-    vals = w.values
-    r = w.params.r
-    n = w.params.n
-    pos = []
-    for k in range(r):
-        v = vals[k]
-        if v < r and (k == 0 or vals[k - 1] >= v + 2):
-            pos.append(k + 1)
-    neg = []
-    for k in range(r, n):
-        v = vals[k]
-        if v < 0 and (k == r or vals[k - 1] > v + 1 or (vals[k - 1] == 0 and v == -1)):
-            neg.append(k + 1)
-    return tuple(pos), tuple(neg)
+    each in ascending position order.  Each upper cover differs from the
+    word in exactly the one position its bump raises."""
+    params = w.params
+    moved = sorted(
+        delta(w, Word(params, m)).support[0]
+        for m in _child_masks(params, w.mask, GenOrder.OUT_IN)
+    )
+    cut = bisect(moved, params.r)
+    return tuple(moved[:cut]), tuple(moved[cut:])
 
 
 def _child_masks(params: LatticeParams, mask: int, order: GenOrder) -> list:

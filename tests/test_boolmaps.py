@@ -276,6 +276,34 @@ class TestRepresentability:
                         for w in all_words(p):
                             assert (sigma(f, w) >= 0) == m.is_positive(w)
 
+    def test_pinned_verdict_counts(self):
+        # (representable with the weight flag, without it) over every
+        # labeling of L(n, r), n <= 3
+        every = {
+            (1, 0): (0, 1), (1, 1): (1, 1),
+            (2, 0): (0, 1), (2, 1): (1, 2), (2, 2): (1, 1),
+            (3, 0): (0, 1), (3, 1): (1, 4), (3, 2): (3, 4), (3, 3): (1, 1),
+        }
+        # (weighted labelings, representable ones)
+        weighted = {
+            (4, 2): (8, 8), (4, 3): (8, 8),
+            (5, 2): (29, 29), (5, 3): (86, 56), (5, 4): (25, 25),
+            (6, 2): (174, 174), (6, 3): (2250, 647), (6, 4): (1721, 572), (6, 5): (117, 117),
+        }
+
+        def weight_verdicts(maps):
+            results = [is_representable(m) for m in maps]
+            assert all(res.witness.is_weight for res in results if res.representable)
+            return sum(res.representable for res in results)
+
+        for (n, r), counts in every.items():
+            maps = [BooleanMap._from_mask(LatticeParams(n, r), m) for m in range(1 << (1 << n))]
+            loose = sum(is_representable(m, require_weight=False).representable for m in maps)
+            assert (weight_verdicts(maps), loose) == counts
+        for (n, r), counts in weighted.items():
+            maps = list(enumerate_wbm(LatticeParams(n, r), n_guard=6))
+            assert (len(maps), weight_verdicts(maps)) == counts
+
     def test_f85_induced_map_round_trips(self):
         from marklat.weights import load_f85
 

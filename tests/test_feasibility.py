@@ -87,12 +87,19 @@ class TestSmallSystems:
         assert refutes(rows, (1, 1))
         assert refutes(rows, (F(1, 2), F(1, 2)))
         assert not refutes(rows, (1, 0))
-        assert not refutes(rows, (0, 1))  # y b < 0 but y A != 0
+        assert not refutes(rows, (0, 1))  # y b < 0 but y A < 0
         assert not refutes(rows, (0, 0))
         assert not refutes(rows, (1,))
         # y A = 0 and y b < 0, but a negative multiplier flips a row
         assert not refutes(rows + [((1,), 2)], (2, 1, -1))
         assert refutes(rows + [((1,), 2)], (1, 1, 0))
+
+    def test_variables_are_nonnegative(self):
+        # x <= -1 has free solutions but none with x >= 0, and y = 1
+        # certifies that: y A = 1 >= 0 while y b = -1 < 0
+        assert feasible_point([((1,), -1)], 1) is None
+        assert refutes([((1,), -1)], (1,))
+        assert not satisfies([], [F(-1)])
 
     def test_refutation_check_survives_optimization(self, monkeypatch):
         # an infeasible answer is certified by an explicit raise, not an
@@ -113,7 +120,7 @@ class TestRandomized:
         rng = random.Random(SEED)
         for trial in range(200):
             num_vars = rng.randint(1, 5)
-            planted = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(num_vars)]
+            planted = [F(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(num_vars)]
             rows = []
             for _ in range(rng.randint(1, 10)):
                 coeffs = tuple(rng.randint(-3, 3) for _ in range(num_vars))
@@ -144,7 +151,7 @@ class TestRandomized:
         rng = random.Random(SEED + 3)
         for trial in range(200):
             num_vars = rng.randint(1, 5)
-            planted = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(num_vars)]
+            planted = [F(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(num_vars)]
             rows = []
             for _ in range(rng.randint(1, 10)):
                 coeffs = fraction_row(rng, num_vars)

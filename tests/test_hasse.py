@@ -38,6 +38,11 @@ class TestGeneratingIndexes:
         p = LatticeParams(6, 3)
         assert generating_indexes(parse_word(p, "321|000")) == ((), ())
 
+    def test_bump_at_the_last_positive_position(self):
+        p = LatticeParams(6, 3)
+        assert generating_indexes(parse_word(p, "320|000")) == ((3,), ())
+        assert generating_indexes(parse_word(p, "320|001")) == ((3,), (6,))
+
     def test_bottom_bumps_on_both_sides(self):
         p = LatticeParams(6, 3)
         assert generating_indexes(parse_word(p, "000|123")) == ((1,), (4,))
