@@ -290,8 +290,9 @@ def is_representable(bmap: BooleanMap, require_weight: bool = True) -> Represent
         return RepresentabilityResult(False, None)
     # the map is monotone, so constraining only the boundary words is
     # enough: every other word's sum lies above a minimal P or below a
-    # maximal N one
-    minimal_p = [m for m in range(1 << n) if down[m] & pos == 1 << m]
+    # maximal N one.  The zero word's sum is 0, so as a minimal P it
+    # would pose only 0 <= 0 and is skipped
+    minimal_p = [m for m in range(1, 1 << n) if down[m] & pos == 1 << m]
     maximal_n = [m for m in range(1 << n) if up[m] & ~pos == 1 << m]
 
     # the variables are the chain increments, each >= 0: f(pos(1)), then
@@ -441,7 +442,8 @@ class ExtremalReport:
     gamma: Optional[int]
     minimizer: Optional[BooleanMap]
     witness: Optional[NrFunction]
-    non_representable: tuple
+    # the maps that are not representable, or None when not collected
+    non_representable: Optional[tuple]
 
 
 def wb_vs_rwb_report(
@@ -464,9 +466,8 @@ def wb_vs_rwb_report(
             "consistency violated: every labeling is representable but the "
             f"two minima differ ({best_tilde} vs {best_gamma}) on {params}"
         )
-    return ExtremalReport(
-        params, d, wb, rwb, best_tilde, best_gamma, minimizer, witness, tuple(bad)
-    )
+    bad = tuple(bad) if collect_non_representable else None
+    return ExtremalReport(params, d, wb, rwb, best_tilde, best_gamma, minimizer, witness, bad)
 
 
 def map_to_json(bmap: BooleanMap) -> dict:
@@ -475,7 +476,8 @@ def map_to_json(bmap: BooleanMap) -> dict:
     return {"p_set": [str(w) for w in enumerate_words(bmap.params) if p >> w.mask & 1]}
 
 
-def report_to_json(report: ExtremalReport, include_non_representable: bool = True) -> dict:
+def report_to_json(report: ExtremalReport) -> dict:
+    """The report as a dict; ``non_representable`` only if collected."""
     out = {
         "n": report.params.n,
         "r": report.params.r,
@@ -486,6 +488,6 @@ def report_to_json(report: ExtremalReport, include_non_representable: bool = Tru
         "wb_count": report.wb_count,
         "rwb_count": report.rwb_count,
     }
-    if include_non_representable:
+    if report.non_representable is not None:
         out["non_representable"] = [map_to_json(b) for b in report.non_representable]
     return out

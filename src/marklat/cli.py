@@ -63,6 +63,7 @@ def cmd_hasse(args) -> int:
 
 
 def cmd_count(args) -> int:
+    counting.check_census_n_max(args.n_max)  # before --out is created
     if args.out is None:
         counting.write_census_csv(sys.stdout, args.n_max)
     else:
@@ -88,25 +89,25 @@ def cmd_weights_eval(args) -> int:
     return 0
 
 
-def _run_report(args, include_non_representable: bool) -> int:
+def _run_report(args, collect_non_representable: bool) -> int:
     params = _params(args)
     report = boolmaps.wb_vs_rwb_report(
         params,
         args.d,
         cap=args.cap,
         n_guard=args.n_guard,
-        collect_non_representable=include_non_representable,
+        collect_non_representable=collect_non_representable,
     )
-    _emit_json(boolmaps.report_to_json(report, include_non_representable))
+    _emit_json(boolmaps.report_to_json(report))
     return 0
 
 
 def cmd_gamma(args) -> int:
-    return _run_report(args, include_non_representable=False)
+    return _run_report(args, collect_non_representable=False)
 
 
 def cmd_report(args) -> int:
-    return _run_report(args, include_non_representable=True)
+    return _run_report(args, collect_non_representable=True)
 
 
 def _add_lattice_args(sub, with_d: bool = True):

@@ -68,8 +68,8 @@ class LatticeParams:
     r: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or not isinstance(self.r, int):
-            raise DomainError("lattice parameters must be integers")
+        if type(self.n) is not int or type(self.r) is not int:
+            raise DomainError(f"lattice parameters must be ints, got n={self.n!r}, r={self.r!r}")
         if not 0 <= self.r <= self.n:
             raise DomainError(f"need 0 <= r <= n, got n={self.n}, r={self.r}")
 
@@ -183,6 +183,8 @@ class Word:
     __slots__ = ("params", "mask", "_vals", "_rank", "_hash")
 
     def __init__(self, params: LatticeParams, mask: int):
+        if type(mask) is not int:
+            raise DomainError(f"a word mask must be an int, got {mask!r}")
         if not 0 <= mask < (1 << params.n):
             raise DomainError(f"mask {mask:#x} out of range for {params}")
         self.params = params
@@ -482,15 +484,13 @@ def enumerate_words(params: LatticeParams) -> list:
     the Hasse builder produces within each rank level."""
     from . import hasse  # deferred: hasse imports this module
 
-    diagram = hasse.build(params)
-    out = []
-    for level in diagram.levels:
-        out.extend(level)
-    return out
+    return list(hasse.build(params).words())
 
 
 def enumerate_d_slice(params: LatticeParams, d: int) -> list:
     """The words using exactly ``d`` nonzero marks, in canonical order."""
+    from . import hasse  # deferred: hasse imports this module
+
     if not 1 <= d <= params.n:
         raise DomainError(f"need 1 <= d <= n, got d={d} for {params}")
-    return [w for w in enumerate_words(params) if w.mask.bit_count() == d]
+    return [w for w in hasse.build(params).words() if w.mask.bit_count() == d]

@@ -30,6 +30,7 @@ __all__ = [
     "rank_polynomial",
     "check_symmetry",
     "census_rows",
+    "check_census_n_max",
     "write_census_csv",
 ]
 
@@ -132,11 +133,18 @@ def check_symmetry(n: int, r: int) -> bool:
     return coeffs == coeffs[::-1]
 
 
+def check_census_n_max(n_max: int) -> None:
+    """Raise unless 0 <= n_max <= BRUTE_FORCE_MAX_N, the census range."""
+    if n_max < 0:
+        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    if n_max > BRUTE_FORCE_MAX_N:
+        raise ResourceLimitError(f"the census is capped at n <= {BRUTE_FORCE_MAX_N}, got {n_max}")
+
+
 def census_rows(n_max: int):
     """Yield one row per (n, r, k) with all three counts and their
     agreement flag, for 0 <= n <= n_max."""
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    check_census_n_max(n_max)
     for n in range(n_max + 1):
         for r in range(n + 1):
             for k in range(total_rank(n, r) + 1):

@@ -2,12 +2,16 @@
 
 A system is a list of rows ``(coeffs, bound)`` meaning
 ``coeffs . x <= bound`` over ``num_vars`` nonnegative rational
-variables.  ``feasible_point`` either returns one exact solution
-``x >= 0`` or proves there is none.  The decision runs a phase-one
-simplex with one column per variable: slacks turn the rows into
-equations, and artificial variables patch the rows whose right hand side
-starts negative.  Bland's smallest-index rule makes the walk
+variables; every coefficient and bound is an int or a Fraction, and
+anything else raises `TypeError`.  ``feasible_point`` either returns one
+exact solution ``x >= 0`` or proves there is none.  The decision runs a
+phase-one simplex with one column per variable: slacks turn the rows
+into equations, and artificial variables patch the rows whose right
+hand side starts negative.  Bland's smallest-index rule makes the walk
 deterministic and immune to cycling, so the search always terminates.
+Rows are taken as given.  An all-zero row needs no special case: with a
+bound >= 0 its slack stays basic and never pivots, and with a negative
+bound its artificial stays positive and is certified like any other.
 
 The tableau holds only integers.  One common multiple ``L`` of every
 denominator in the system clears the fractions: structural entries and
@@ -80,51 +84,34 @@ def refutes(rows: Sequence, y: Sequence) -> bool:
     return total < 0 and all(c >= 0 for c in combined)
 
 
-def _refuted(rows, y) -> None:
-    if not refutes(rows, y):
-        raise RuntimeError("Farkas multipliers fail to refute the rows; the tableau is corrupt")
-    return None
-
-
 def feasible_point(rows: Sequence, num_vars: int) -> Optional[list]:
-    """One exact solution ``x >= 0`` of ``coeffs . x <= bound`` rows, or None.
-
-    Coefficients and bounds may be ints or Fractions.  The returned
-    point is deterministic for a given system.
-    """
+    """One exact solution ``x >= 0`` of ``coeffs . x <= bound`` rows, or
+    None.  The returned point is deterministic for a given system."""
     if num_vars < 0:
         raise ValueError(f"num_vars must be nonnegative, got {num_vars}")
-    cleaned = []
-    kept = []  # the index in rows of each cleaned row
-    for index, (coeffs, bound) in enumerate(rows):
+    denominators = set()
+    for coeffs, bound in rows:
         if len(coeffs) != num_vars:
             raise ValueError(f"row has {len(coeffs)} coefficients, expected {num_vars}")
-        row = [_exact(c) for c in coeffs]
-        bound = _exact(bound)
-        if not any(row):
-            if bound < 0:
-                return _refuted(rows, [int(k == index) for k in range(len(rows))])
-            continue
-        row.append(bound)
-        cleaned.append(row)
-        kept.append(index)
-    if not cleaned:
-        return [Fraction(0)] * num_vars
+        for v in (*coeffs, bound):
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError(f"coefficients and bounds must be ints or Fractions, got {v!r}")
+            denominators.add(v.denominator)
+    scale = lcm(*denominators)
 
-    m = len(cleaned)
+    m = len(rows)
     # columns: x (num_vars), slacks (m), artificials, rhs
     slack0 = num_vars
     art0 = slack0 + m
-    num_art = sum(1 for row in cleaned if row[-1] < 0)
-    scale = lcm(*{v.denominator for row in cleaned for v in row})
+    num_art = sum(1 for _, bound in rows if bound < 0)
     tableau = []
     basis = []
     art = art0
-    for i, row in enumerate(cleaned):
-        ints = [v.numerator * (scale // v.denominator) for v in row]
-        sign = -1 if ints[-1] < 0 else 1
-        ints = [sign * v for v in ints]
-        t = ints[:-1] + [0] * (m + num_art) + ints[-1:]
+    for i, (coeffs, bound) in enumerate(rows):
+        sign = -1 if bound < 0 else 1
+        t = [sign * v.numerator * (scale // v.denominator) for v in coeffs]
+        t += [0] * (m + num_art)
+        t.append(sign * bound.numerator * (scale // bound.denominator))
         t[slack0 + i] = sign
         if sign < 0:
             t[art] = 1
@@ -187,10 +174,9 @@ def feasible_point(rows: Sequence, num_vars: int) -> Optional[list]:
         # the optimum keeps some artificial positive: the phase-one entries
         # are <= 0 on every slack and structural column, so minus the
         # slack entries are Farkas multipliers of the rows
-        y = [0] * len(rows)
-        for i, index in enumerate(kept):
-            y[index] = -objective[slack0 + i]
-        return _refuted(rows, y)
+        if not refutes(rows, [-v for v in objective[slack0:art0]]):
+            raise RuntimeError("Farkas multipliers fail to refute the rows; the tableau is corrupt")
+        return None
     values = [0] * (art0 + num_art)
     for t, b in zip(tableau, basis):
         values[b] = t[-1]

@@ -23,6 +23,7 @@ import enum
 from bisect import bisect
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 from .core import LatticeParams, Word, delta
@@ -93,8 +94,8 @@ class HasseDiagram:
     edges: tuple
 
     def words(self):
-        for level in self.levels:
-            yield from level
+        """Every word, level by level."""
+        return chain.from_iterable(self.levels)
 
     @property
     def edge_set(self) -> frozenset:

@@ -131,13 +131,11 @@ def validate(
     neg_values: Sequence,
     zero=0,
 ) -> NrFunction:
-    """Coerce candidate values to exact rationals and build the valuation,
-    rejecting any violated chain inequality with a named message."""
+    """Check the zero mark and build the valuation, which converts each
+    value once and names any violated chain inequality."""
     if _as_fraction(zero, "the zero-mark value") != 0:
         raise ValidationError("the zero mark must carry the value 0")
-    pv = tuple(_as_fraction(v, f"pos({k + 1})") for k, v in enumerate(pos_values))
-    nv = tuple(_as_fraction(v, f"neg({k + 1})") for k, v in enumerate(neg_values))
-    return NrFunction(params, pv, nv)
+    return NrFunction(params, tuple(pos_values), tuple(neg_values))
 
 
 def sigma(f: NrFunction, w: Word) -> Fraction:
@@ -202,7 +200,7 @@ def nr_function_from_json(data: dict) -> NrFunction:
     missing = [k for k in ("n", "r", "tilde", "bar") if k not in data]
     if missing:
         raise ValidationError(f"valuation JSON lacks keys: {', '.join(missing)}")
-    if not isinstance(data["n"], int) or not isinstance(data["r"], int):
+    if type(data["n"]) is not int or type(data["r"]) is not int:
         raise ValidationError("n and r must be integers")
     params = LatticeParams(data["n"], data["r"])
     return validate(params, data["tilde"], data["bar"], data.get("zero", 0))

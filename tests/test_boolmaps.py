@@ -304,6 +304,25 @@ class TestRepresentability:
             maps = list(enumerate_wbm(LatticeParams(n, r), n_guard=6))
             assert (len(maps), weight_verdicts(maps)) == counts
 
+    def test_no_all_zero_row_is_posed(self, monkeypatch):
+        # the zero word sums to 0 in every valuation: as a minimal P word
+        # it would pose 0 <= 0, so the row scan skips it
+        from marklat import boolmaps, feasibility
+
+        systems = []
+
+        def recording(rows, num_vars):
+            systems.append(rows)
+            return feasibility.feasible_point(rows, num_vars)
+
+        monkeypatch.setattr(boolmaps, "feasible_point", recording)
+        for r in range(5):
+            for m in enumerate_wbm(LatticeParams(4, r)):
+                is_representable(m)
+                is_representable(m, require_weight=False)
+        assert systems
+        assert all(any(coeffs) for rows in systems for coeffs, _ in rows)
+
     def test_f85_induced_map_round_trips(self):
         from marklat.weights import load_f85
 
@@ -415,7 +434,9 @@ class TestReport:
     def test_collect_flag(self):
         p = LatticeParams(3, 1)
         rep = wb_vs_rwb_report(p, collect_non_representable=False)
-        assert rep.non_representable == ()
+        # None, not (): an empty tuple would read as "all representable"
+        assert rep.non_representable is None
+        assert wb_vs_rwb_report(p).non_representable == ()
 
     def test_d_slice_report(self):
         p = LatticeParams(4, 1)
@@ -430,8 +451,9 @@ class TestReport:
         assert doc["n"] == 3 and doc["r"] == 2 and doc["d"] is None
         assert doc["wb_count"] == rep.wb_count
         assert "non_representable" in doc
-        slim = report_to_json(rep, include_non_representable=False)
+        slim = report_to_json(wb_vs_rwb_report(p, collect_non_representable=False))
         assert "non_representable" not in slim
+        assert slim == {k: v for k, v in doc.items() if k != "non_representable"}
         # p_set comes out in canonical enumeration order
         order = [str(w) for w in enumerate_words(p)]
         listed = doc["minimizer"]["p_set"]

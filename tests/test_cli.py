@@ -118,6 +118,15 @@ class TestCount:
         assert code == 0
         assert path.read_text().startswith("n,r,k,")
 
+    def test_over_the_cap_writes_nothing(self, capsys, tmp_path):
+        # the cap is checked before the header or the --out file is written
+        code, out, err = run(capsys, "count", "--n-max", "21")
+        assert code == 4 and out == ""
+        path = tmp_path / "census.csv"
+        code, out, err = run(capsys, "count", "--n-max", "21", "--out", str(path))
+        assert code == 4 and out == ""
+        assert not path.exists()
+
 
 class TestWeightsEval:
     def write_fn(self, tmp_path, doc):

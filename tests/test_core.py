@@ -50,6 +50,12 @@ class TestParams:
         with pytest.raises(DomainError):
             LatticeParams(n, r)
 
+    @pytest.mark.parametrize("n,r", [(True, 0), (3.0, 1), (3, 1.0), ("3", 1)])
+    def test_rejects_non_int_parameters(self, n, r):
+        # a bool is an int subclass but no lattice size: L(True, 0) is refused
+        with pytest.raises(DomainError):
+            LatticeParams(n, r)
+
     def test_nonzero_symbols(self):
         syms = LatticeParams(3, 1).nonzero_symbols()
         assert syms == (Symbol.pos(1), Symbol.neg(1), Symbol.neg(2))
@@ -156,6 +162,12 @@ class TestWordBasics:
         b = Word(LatticeParams(3, 2), 1)
         assert a != b
         assert hash(a) != hash(b) or a != b
+
+    @pytest.mark.parametrize("mask", [1.5, 1.0, True, "1"])
+    def test_rejects_non_int_masks(self, mask):
+        # 1.5 would build a word whose str() fails; True would equal mask 1
+        with pytest.raises(DomainError):
+            Word(LatticeParams(3, 1), mask)
 
     def test_word_from_subset_rejects_foreign_symbols(self):
         p = LatticeParams(4, 2)

@@ -111,6 +111,52 @@ class TestSmallSystems:
             feasible_point([((0,), -1)], 1)
 
 
+class TestRowsAsGiven:
+    def test_nonnegative_zero_rows_leave_the_point_unchanged(self):
+        rng = random.Random(SEED + 5)
+        for trial in range(200):
+            num_vars = rng.randint(1, 4)
+            rows = [
+                (fraction_row(rng, num_vars), F(rng.randint(-3, 9), rng.randint(1, 4)))
+                for _ in range(rng.randint(1, 6))
+            ]
+            expected = feasible_point(rows, num_vars)
+            padded = list(rows)
+            for _ in range(rng.randint(1, 3)):
+                zero = ((0,) * num_vars, F(rng.randint(0, 5), rng.randint(1, 7)))
+                padded.insert(rng.randint(0, len(padded)), zero)
+            assert feasible_point(padded, num_vars) == expected
+
+    def test_negative_zero_row_is_refuted_by_the_tableau(self, monkeypatch):
+        certificates = []
+        real_refutes = feasibility.refutes
+
+        def recording(rows, y):
+            certificates.append((list(y), real_refutes(rows, y)))
+            return certificates[-1][1]
+
+        monkeypatch.setattr(feasibility, "refutes", recording)
+        rows = [((1, 0), 4), ((0, 0), F(-1, 3)), ((-1, -1), -1)]
+        assert feasible_point(rows, 2) is None
+        # the multipliers come from the phase-one read-out and select
+        # only the zero row
+        [(y, accepted)] = certificates
+        assert accepted
+        assert y[0] == y[2] == 0 and y[1] > 0
+        certificates.clear()
+        assert feasible_point([((0,), -1)], 1) is None
+        assert [accepted for _, accepted in certificates] == [True]
+
+    @pytest.mark.parametrize("bad", [0.5, "1", None])
+    def test_rejects_non_exact_entries(self, bad):
+        # a float used to be converted silently: x <= 1 with coefficient
+        # 0.5 came back as [0]
+        with pytest.raises(TypeError):
+            feasible_point([((bad,), 1)], 1)
+        with pytest.raises(TypeError):
+            feasible_point([((1,), bad)], 1)
+
+
 def fraction_row(rng, num_vars):
     return tuple(F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(num_vars))
 
