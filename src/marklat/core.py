@@ -240,15 +240,8 @@ class Word:
     @property
     def members(self) -> frozenset:
         """The subset of nonzero marks this word encodes."""
-        r = self.params.r
-        out = []
-        for i in range(1, r + 1):
-            if self.mask >> (i - 1) & 1:
-                out.append(Symbol(i))
-        for j in range(1, self.params.num_neg + 1):
-            if self.mask >> (r + j - 1) & 1:
-                out.append(Symbol(-j))
-        return frozenset(out)
+        symbols = self.params.nonzero_symbols()
+        return frozenset(s for k, s in enumerate(symbols) if self.mask >> k & 1)
 
     def symbol_at(self, position: int) -> Symbol:
         """Symbol at string position ``position`` (1-based)."""
@@ -320,12 +313,13 @@ def word_from_subset(params: LatticeParams, symbols: Iterable[Symbol]) -> Word:
 
 
 def _parse_side(text: str, what: str, expected: int, bound: int) -> list:
-    if text == "":
-        digits = []
-    elif "," in text:
-        digits = text.split(",")
-    else:
-        digits = list(text)
+    # `_pos_text` and `_neg_text` render by the same rule
+    wide = expected >= 10
+    if ("," in text) != wide:
+        raise ValidationError(
+            f"{what} digits are comma-separated exactly when the side has 10 or more marks"
+        )
+    digits = text.split(",") if wide else list(text)
     if len(digits) != expected:
         raise ValidationError(f"expected {expected} {what} digits, got {len(digits)}")
     out = []
@@ -343,9 +337,9 @@ def parse_word(params: LatticeParams, text: str) -> Word:
     """Parse a canonical string form back into a word.
 
     The grammar matches ``str(word)``: positive digits, a bar, negative
-    digits, with comma-separated digits whenever a side has marks with
-    two-digit indexes.  Non-canonical strings are rejected with a message
-    naming the violated rule.
+    digits, with comma-separated digits exactly when a side has 10 or
+    more marks.  Non-canonical strings are rejected with a message naming
+    the violated rule.
     """
     if not isinstance(text, str) or text.count("|") != 1:
         raise ValidationError("a word is two digit blocks separated by one '|'")
@@ -445,14 +439,8 @@ def transpose(w: Word) -> Word:
     L(n, n-r).  Order-reversing; applying it twice gives the word back."""
     p = w.params
     q = LatticeParams(p.n, p.num_neg)
-    mask = 0
-    for i in range(1, p.r + 1):
-        if w.mask >> (i - 1) & 1:
-            mask |= 1 << (q.r + i - 1)
-    for j in range(1, p.num_neg + 1):
-        if w.mask >> (p.r + j - 1) & 1:
-            mask |= 1 << (j - 1)
-    return Word(q, mask)
+    low = (1 << p.r) - 1
+    return Word(q, (w.mask >> p.r) | ((w.mask & low) << q.r))
 
 
 def iso_to_conjugate(w: Word) -> Word:

@@ -4,37 +4,39 @@ A system is a list of rows ``(coeffs, bound)`` meaning
 ``coeffs . x <= bound`` over ``num_vars`` nonnegative rational
 variables; every coefficient and bound is an int or a Fraction, and
 anything else raises `TypeError`.  ``feasible_point`` either returns one
-exact solution ``x >= 0`` or proves there is none.  The decision runs a
-phase-one simplex with one column per variable: slacks turn the rows
-into equations, and artificial variables patch the rows whose right
-hand side starts negative.  Bland's smallest-index rule makes the walk
-deterministic and immune to cycling, so the search always terminates.
-Rows are taken as given.  An all-zero row needs no special case: with a
-bound >= 0 its slack stays basic and never pivots, and with a negative
-bound its artificial stays positive and is certified like any other.
+exact solution ``x >= 0`` or proves there is none.  There is no
+objective, so the decision runs the least-index criss-cross rule
+(Terlaky 1985; Fukuda and Terlaky, Math. Programming 79, 1997) straight
+from the slack basis: no artificial columns and no ratio test.  Of the
+rows with a negative right hand side, the one whose basic variable has
+the least column index leaves; the least column with a negative entry
+in that row enters.  With a zero objective every basis is dual
+feasible, so this is Bland's rule on the dual simplex, and the
+least-index argument shows it never returns to a basis: it terminates.
+Rows are taken as given.  An all-zero row needs no special case: its
+slack stays basic, so with a bound >= 0 it never pivots, and with a
+negative bound no pivot repairs it and the walk ends on a stuck row.
 
 The tableau holds only integers.  One common multiple ``L`` of every
-denominator in the system clears the fractions: structural entries and
-right hand sides are multiplied by ``L`` while slack and artificial
-entries stay 1.  That rescales whole columns by positive factors, so
-every sign and every ratio the simplex reads is unchanged, and so is
-its walk.  (Scaling row by row would not do: the phase-one sums that
-pick the entering column add entries of different rows.)  Pivots are
-fraction-free (Edmonds, Bareiss): the true tableau is ``T / D`` for one
-divisor ``D > 0``, the last pivot element, starting at 1.  A pivot on
-row ``r`` and column ``c`` with element ``p`` updates every other row to
-``(T_i p - T_i[c] T_r) // D``; the division is exact because each entry
-stays a minor of the starting integer matrix.  When ``p == D``, as in
-most pivots on rows of 0, 1 and -1, the update is
-``T_i - T_i[c] T_r // D`` and changes only the pivot row's nonzero
-columns.  The phase-one sums are kept as one more row of the tableau
-and pivoted with it.
+denominator clears the fractions: row ``i`` starts as
+``[A_i L | e_i | b_i L]``.  That rescales whole columns by positive
+factors, so no sign the rule reads changes.  Pivots are fraction-free
+(Edmonds, Bareiss): the true tableau is ``T / D`` for one divisor
+``D > 0``, starting at 1.  A pivot on row ``r`` and column ``c`` with
+element ``-q < 0`` updates every other row to ``(q T_i + T_i[c] T_r) // D``,
+negates the pivot row and sets ``D = q``; the division is exact because
+each entry stays a minor of the starting integer matrix.  When
+``q == D``, as in most pivots on rows of 0, 1 and -1, the update is
+``T_i + T_i[c] T_r // D`` and changes only the pivot row's nonzero
+columns.
 
 Both answers are certified.  A returned point is checked against every
-row and for signs with `satisfies`.  When phase one stops with an
-artificial still positive, the phase-one sums on the slack columns give
-Farkas multipliers ``y >= 0`` with ``y A >= 0`` and ``y b < 0``;
-`refutes` checks them before None is returned.
+row and for signs with `satisfies`.  When the leaving row has no
+negative entry, it reads "basic variable plus a nonnegative combination
+of the others equals a negative number", and its slack entries, a row
+of the basis inverse, are Farkas multipliers ``y >= 0`` with
+``y A >= 0`` and ``y b < 0``; `refutes` checks them before None is
+returned.
 """
 
 from __future__ import annotations
@@ -100,87 +102,49 @@ def feasible_point(rows: Sequence, num_vars: int) -> Optional[list]:
     scale = lcm(*denominators)
 
     m = len(rows)
-    # columns: x (num_vars), slacks (m), artificials, rhs
-    slack0 = num_vars
-    art0 = slack0 + m
-    num_art = sum(1 for _, bound in rows if bound < 0)
+    # columns: x (num_vars), slacks (m), rhs; every slack starts basic
+    width = num_vars + m
     tableau = []
-    basis = []
-    art = art0
     for i, (coeffs, bound) in enumerate(rows):
-        sign = -1 if bound < 0 else 1
-        t = [sign * v.numerator * (scale // v.denominator) for v in coeffs]
-        t += [0] * (m + num_art)
-        t.append(sign * bound.numerator * (scale // bound.denominator))
-        t[slack0 + i] = sign
-        if sign < 0:
-            t[art] = 1
-            basis.append(art)
-            art += 1
-        else:
-            basis.append(slack0 + i)
+        t = [v.numerator * (scale // v.denominator) for v in (*coeffs, bound)]
+        t[num_vars:num_vars] = [0] * m
+        t[num_vars + i] = 1
         tableau.append(t)
-
-    # the phase-one row: entry j is D times the sum of T[i][j] over the
-    # rows whose basic variable is artificial, less D on the artificial
-    # columns (their unit cost).  A structural or slack column with a
-    # positive entry improves the artificial total.  Basic columns are
-    # unit vectors pinned outside the artificial rows, so they are never
-    # candidates and need no exclusion
-    objective = [0] * (art0 + num_art + 1)
-    for t, b in zip(tableau, basis):
-        if b >= art0:
-            objective = [o + v for o, v in zip(objective, t)]
-            objective[b] -= 1
-    tableau.append(objective)
+    basis = list(range(num_vars, width))
     divisor = 1
     while True:
-        entering = next((j for j in range(art0) if objective[j] > 0), None)
-        if entering is None:
-            break
-        leaving = None
-        for i in range(m):
-            t = tableau[i]
-            coef = t[entering]
-            if coef > 0:
-                # compare ratios t[-1] / coef by cross-multiplication
-                if leaving is None:
-                    leaving, num, den = i, t[-1], coef
-                    continue
-                lhs, rhs = t[-1] * den, num * coef
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
-                    leaving, num, den = i, t[-1], coef
+        negative = (i for i, t in enumerate(tableau) if t[-1] < 0)
+        leaving = min(negative, key=basis.__getitem__, default=None)
         if leaving is None:
-            raise RuntimeError("phase-one objective unbounded; the tableau is corrupt")
+            break
         pivot_row = tableau[leaving]
-        p = pivot_row[entering]
-        if p == divisor:
+        entering = next((j for j in range(width) if pivot_row[j] < 0), None)
+        if entering is None:
+            # the stuck row: its slack entries are Farkas multipliers
+            if not refutes(rows, pivot_row[num_vars:width]):
+                raise RuntimeError("Farkas multipliers fail to refute the rows; the tableau is corrupt")
+            return None
+        q = -pivot_row[entering]
+        if q == divisor:
             nonzero = [(j, b) for j, b in enumerate(pivot_row) if b]
             for i, t in enumerate(tableau):
                 f = t[entering]
                 if f and i != leaving:
                     for j, b in nonzero:
-                        t[j] -= f * b // divisor
+                        t[j] += f * b // divisor
         else:
             for i, t in enumerate(tableau):
                 if i != leaving:
                     f = t[entering]
-                    tableau[i] = [(a * p - f * b) // divisor for a, b in zip(t, pivot_row)]
-        divisor = p
+                    tableau[i] = [(q * a + f * b) // divisor for a, b in zip(t, pivot_row)]
+        tableau[leaving] = [-b for b in pivot_row]
+        divisor = q
         basis[leaving] = entering
-        objective = tableau[m]
 
-    if objective[-1]:
-        # the optimum keeps some artificial positive: the phase-one entries
-        # are <= 0 on every slack and structural column, so minus the
-        # slack entries are Farkas multipliers of the rows
-        if not refutes(rows, [-v for v in objective[slack0:art0]]):
-            raise RuntimeError("Farkas multipliers fail to refute the rows; the tableau is corrupt")
-        return None
-    values = [0] * (art0 + num_art)
+    values = [0] * width
     for t, b in zip(tableau, basis):
         values[b] = t[-1]
     solution = [Fraction(v, divisor) for v in values[:num_vars]]
     if not satisfies(rows, solution):
-        raise RuntimeError("simplex solution fails its own rows; the tableau is corrupt")
+        raise RuntimeError("criss-cross solution fails its own rows; the tableau is corrupt")
     return solution

@@ -212,6 +212,26 @@ class TestParseErrors:
         with pytest.raises(ValidationError):
             parse_word(p, "201|123")
 
+    @pytest.mark.parametrize(
+        "n, r, text",
+        [
+            (3, 2, "2,1|0"),  # commas on a side of 2 marks
+            (11, 10, "0000000000|0"),  # no commas on a side of 10 marks
+            (11, 1, "1|0000000000"),
+            (11, 1, "1,|0,0,0,0,0,0,0,0,0,0"),
+        ],
+    )
+    def test_rejects_non_canonical_separators(self, n, r, text):
+        with pytest.raises(ValidationError, match="10 or more marks"):
+            parse_word(LatticeParams(n, r), text)
+
+    def test_canonical_strings_round_trip(self):
+        for n, r in [(3, 2), (10, 9), (10, 10), (11, 10), (11, 1), (12, 2)]:
+            p = LatticeParams(n, r)
+            for mask in range(0, 1 << n, 7):
+                s = str(Word(p, mask))
+                assert str(parse_word(p, s)) == s
+
     def test_comma_format_errors(self):
         p = LatticeParams(12, 11)
         with pytest.raises(ValidationError):

@@ -48,10 +48,15 @@ class TestSmallSystems:
         )
         assert point[0] < point[1] < point[2]
 
-    def test_infeasible_chain(self):
+    def test_infeasible_chain(self, monkeypatch):
         # x <= y - 1 <= z - 2 and z <= x: impossible
+        certificates = record_refutes(monkeypatch)
         rows = [((1, -1, 0), -1), ((0, 1, -1), -1), ((-1, 0, 1), 0)]
         assert feasible_point(rows, 3) is None
+        # the stuck row adds up all three rows: 0 <= -2
+        [(y, accepted)] = certificates
+        assert accepted
+        assert y[0] > 0 and y == [y[0]] * 3
 
     def test_fractional_data(self):
         point = check([((F(1, 3),), F(1, 2)), ((-1,), F(-3, 2))], 1)
@@ -128,18 +133,11 @@ class TestRowsAsGiven:
             assert feasible_point(padded, num_vars) == expected
 
     def test_negative_zero_row_is_refuted_by_the_tableau(self, monkeypatch):
-        certificates = []
-        real_refutes = feasibility.refutes
-
-        def recording(rows, y):
-            certificates.append((list(y), real_refutes(rows, y)))
-            return certificates[-1][1]
-
-        monkeypatch.setattr(feasibility, "refutes", recording)
+        certificates = record_refutes(monkeypatch)
         rows = [((1, 0), 4), ((0, 0), F(-1, 3)), ((-1, -1), -1)]
         assert feasible_point(rows, 2) is None
-        # the multipliers come from the phase-one read-out and select
-        # only the zero row
+        # the zero row is the stuck row, so its slack entries select
+        # only itself
         [(y, accepted)] = certificates
         assert accepted
         assert y[0] == y[2] == 0 and y[1] > 0
@@ -155,6 +153,19 @@ class TestRowsAsGiven:
             feasible_point([((bad,), 1)], 1)
         with pytest.raises(TypeError):
             feasible_point([((1,), bad)], 1)
+
+
+def record_refutes(monkeypatch):
+    """Replace `refutes` by a wrapper that records each ``(y, verdict)``."""
+    certificates = []
+    real_refutes = feasibility.refutes
+
+    def recording(rows, y):
+        certificates.append((list(y), real_refutes(rows, y)))
+        return certificates[-1][1]
+
+    monkeypatch.setattr(feasibility, "refutes", recording)
+    return certificates
 
 
 def fraction_row(rng, num_vars):
@@ -207,14 +218,7 @@ class TestRandomized:
             assert check(rows, num_vars) is not None
 
     def test_planted_contradictions_with_fraction_coefficients(self, monkeypatch):
-        certificates = []
-        real_refutes = feasibility.refutes
-
-        def recording(rows, y):
-            certificates.append(real_refutes(rows, y))
-            return certificates[-1]
-
-        monkeypatch.setattr(feasibility, "refutes", recording)
+        certificates = record_refutes(monkeypatch)
         rng = random.Random(SEED + 4)
         infeasible = 0
         for trial in range(100):
@@ -231,7 +235,7 @@ class TestRandomized:
             ]
             assert feasible_point(rows + extra, num_vars) is None
             infeasible += 1
-        assert certificates == [True] * infeasible
+        assert [accepted for _, accepted in certificates] == [True] * infeasible
 
     def test_deterministic(self):
         rng = random.Random(SEED + 2)
@@ -242,3 +246,46 @@ class TestRandomized:
         first = feasible_point(rows, 4)
         second = feasible_point(list(rows), 4)
         assert first == second
+
+
+def degenerate_system(rng, num_vars):
+    """Rows with entries in {-1, 0, 1}, most bounds 0 and some rows
+    repeated, all met by a planted point of 0s, 1s and 2s.  Many rows
+    are tight at the planted point, so bases tie and pivots stall."""
+    planted = [rng.choice((0, 0, 1, 2)) for _ in range(num_vars)]
+    rows = []
+    for _ in range(rng.randint(2, 12)):
+        coeffs = [rng.choice((-1, 0, 0, 1)) for _ in range(num_vars)]
+        value = sum(c * v for c, v in zip(coeffs, planted))
+        if rng.random() < 0.2:
+            rows.append((tuple(coeffs), value))  # tight, often below 0
+        else:
+            if value > 0:
+                coeffs = [-c for c in coeffs]
+            rows.append((tuple(coeffs), 0))
+    rows += rng.sample(rows, rng.randint(0, len(rows)))
+    rng.shuffle(rows)
+    return rows
+
+
+class TestDegenerate:
+    def test_planted_solutions_are_found(self):
+        rng = random.Random(SEED + 6)
+        for trial in range(400):
+            num_vars = rng.randint(1, 6)
+            assert check(degenerate_system(rng, num_vars), num_vars) is not None
+
+    def test_planted_contradictions_are_refuted(self, monkeypatch):
+        certificates = record_refutes(monkeypatch)
+        rng = random.Random(SEED + 7)
+        for trial in range(400):
+            num_vars = rng.randint(1, 6)
+            rows = degenerate_system(rng, num_vars)
+            coeffs = tuple(rng.choice((-1, 0, 1)) for _ in range(num_vars))
+            # coeffs . x <= 0 and -coeffs . x <= -1, each possibly twice
+            contradiction = [(coeffs, 0), (tuple(-c for c in coeffs), -1)]
+            contradiction += rng.sample(contradiction, rng.randint(0, 2))
+            for row in contradiction:
+                rows.insert(rng.randint(0, len(rows)), row)
+            assert feasible_point(rows, num_vars) is None
+        assert [accepted for _, accepted in certificates] == [True] * 400
