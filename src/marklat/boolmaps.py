@@ -23,7 +23,9 @@ representable ones (gamma).
 
 One walk over the weighted labelings, an explicit-stack search over
 those masks, sits behind ``enumerate_wbm``; one sweep over
-``enumerate_wbm`` serves every minimum and the report.
+``enumerate_wbm`` serves every minimum and the report.  The report
+visits every labeling; a minimum cuts the subtrees that cannot beat
+the best labeling found so far.
 
 These notions degenerate when no negative mark exists (r = n): the
 negative witness word is missing, so enumeration yields nothing there
@@ -35,10 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from math import comb
+from math import comb, inf
 from typing import Iterator, Optional
 
-from .core import LatticeParams, Word, enumerate_words
+from . import hasse
+# enumerate_words is looked up here by bench/spans.py, which traces it
+from .core import LatticeParams, Word, enumerate_words  # noqa: F401
 from .errors import DomainError, ResourceLimitError
 from .feasibility import feasible_point
 from .weights import NrFunction, induced_map
@@ -165,9 +169,7 @@ def _tables(params: LatticeParams):
     """Per-lattice machinery for the labeling search, indexed by word
     mask: the up- and down-closure of every word as a labeling mask, and
     the top-down decision order."""
-    from .hasse import build
-
-    diagram = build(params)
+    diagram = hasse.build(params)
     up = [1 << m for m in range(1 << params.n)]
     down = list(up)
     # close the cover relation level by level: edges are listed by the
@@ -180,10 +182,24 @@ def _tables(params: LatticeParams):
     return tuple(up), tuple(down), tuple(decision)
 
 
+class _Incumbent:
+    """The size of a minimum's best labeling so far, on a slice mask: the
+    sweep lowers ``size`` and the walk cuts every state whose P-region
+    already holds ``size`` words of ``slice``."""
+
+    __slots__ = ("slice", "size")
+
+    def __init__(self, slice_mask: int):
+        self.slice = slice_mask
+        self.size = inf
+
+
 def enumerate_wbm(
     params: LatticeParams,
     cap: int = DEFAULT_CAP,
     n_guard: int = DEFAULT_N_GUARD,
+    *,
+    _incumbent: Optional[_Incumbent] = None,
 ) -> Iterator[BooleanMap]:
     """Yield every weighted labeling of L(n, r), each exactly once, in a
     deterministic order (words are decided top rank first, N before P).
@@ -191,6 +207,10 @@ def enumerate_wbm(
     Raises a resource error when n exceeds ``n_guard`` or more than
     ``cap`` labelings would be produced.  At r = n the conditions are
     unspecified (no negative mark), so nothing is yielded.
+
+    ``_incumbent`` is the extremal sweep's own: with it, only the
+    labelings smaller than its current size on its slice are yielded and
+    counted against ``cap``.
     """
     if params.n > n_guard:
         raise ResourceLimitError(
@@ -200,10 +220,10 @@ def enumerate_wbm(
         )
     if params.r == params.n:
         return iter(())
-    return _enumerate_wbm(params, cap)
+    return _enumerate_wbm(params, cap, _incumbent)
 
 
-def _enumerate_wbm(params: LatticeParams, cap: int) -> Iterator[BooleanMap]:
+def _enumerate_wbm(params, cap, incumbent) -> Iterator[BooleanMap]:
     up, down, decision = _tables(params)
     full = (1 << params.n) - 1
     # rest[k]: the labeling mask of decision[k:]
@@ -241,6 +261,9 @@ def _enumerate_wbm(params: LatticeParams, cap: int) -> Iterator[BooleanMap]:
     stack = [(*state, 0)]
     while stack:
         pos, neg, at = stack.pop()
+        # pos only grows down the tree: no leaf below holds fewer P-words
+        if incumbent is not None and (pos & incumbent.slice).bit_count() >= incumbent.size:
+            continue
         decided = pos | neg
         if not rest[at] & ~decided:
             if emitted >= cap:
@@ -341,7 +364,7 @@ def _check_extremal_params(params: LatticeParams, d: Optional[int]):
         raise DomainError(f"need 1 <= d <= n, got d={d} for {params}")
 
 
-def _sweep(params, d, cap, n_guard, representable, collect=False):
+def _sweep(params, d, cap, n_guard, representable, census=False, collect=False):
     """The one pass behind every extremal number and the report.
 
     Sizes each weighted labeling's P-region on the d-mark slice (all
@@ -351,25 +374,38 @@ def _sweep(params, d, cap, n_guard, representable, collect=False):
     ones, the valuation inducing the latter, and the non-representable
     maps when ``collect`` is set.  Without ``representable`` no LP runs
     and only ``wb`` and ``tilde`` are filled in.
+
+    With ``census`` every labeling is visited, as the report needs.
+    Otherwise the sweep is a branch and bound for its one minimum
+    (``best``, or ``tilde`` without ``representable``): the walk cuts
+    each subtree whose forced P-words reach the incumbent's size, so
+    only strictly smaller labelings are yielded and given an LP.  The
+    walk order is unchanged, so the first minimizer and its witness are
+    the census's; ``wb``, ``rwb`` and ``cap`` count only the labelings
+    reached.
     """
     _check_extremal_params(params, d)
+    slice_mask = (1 << (1 << params.n)) - 1 if d is None else _d_slice(params.n, d)
+    incumbent = None if census else _Incumbent(slice_mask)
     wb = rwb = 0
     tilde = best = witness = None
     bad = []
-    for bmap in enumerate_wbm(params, cap=cap, n_guard=n_guard):
-        size = bmap.p_count if d is None else bmap.p_count_d(d)
+    for bmap in enumerate_wbm(params, cap=cap, n_guard=n_guard, _incumbent=incumbent):
+        size = (bmap.mask & slice_mask).bit_count()
         wb += 1
         if tilde is None or size < tilde[0]:
             tilde = (size, bmap)
-        if not representable:
-            continue
-        res = is_representable(bmap)
-        if res.representable:
-            rwb += 1
-            if best is None or size < best[0]:
-                best, witness = (size, bmap), res.witness
-        elif collect:
-            bad.append(bmap)
+        if representable:
+            res = is_representable(bmap)
+            if res.representable:
+                rwb += 1
+                if best is None or size < best[0]:
+                    best, witness = (size, bmap), res.witness
+            elif collect:
+                bad.append(bmap)
+        found = best if representable else tilde
+        if incumbent is not None and found is not None:
+            incumbent.size = found[0]
     return wb, rwb, tilde, best, witness, bad
 
 
@@ -396,6 +432,11 @@ def gamma(params, *, cap=DEFAULT_CAP, n_guard=DEFAULT_N_GUARD) -> ExtremalResult
 
     This equals the minimum of alpha over weight valuations: restricting
     to induced labelings does not change the minimum.
+
+    Like every minimum here, the search is a branch and bound over the
+    labeling walk that runs the LP only on labelings smaller than the
+    best so far: the minimizer is the first in walk order, as in a full
+    census, and ``cap`` counts only the labelings reached.
     """
     return _minimum(params, None, True, cap, n_guard)
 
@@ -457,7 +498,7 @@ def wb_vs_rwb_report(
     """Enumerate every weighted labeling once, recording representability,
     both extremal minima, and (optionally) each non-representable map."""
     wb, rwb, tilde, best, witness, bad = _sweep(
-        params, d, cap, n_guard, True, collect_non_representable
+        params, d, cap, n_guard, True, census=True, collect=collect_non_representable
     )
     best_tilde = None if tilde is None else tilde[0]
     best_gamma, minimizer = (None, None) if best is None else best
@@ -473,7 +514,7 @@ def wb_vs_rwb_report(
 def map_to_json(bmap: BooleanMap) -> dict:
     """JSON form of a labeling: its P-words in canonical order."""
     p = bmap.mask
-    return {"p_set": [str(w) for w in enumerate_words(bmap.params) if p >> w.mask & 1]}
+    return {"p_set": [str(w) for w in hasse.build(bmap.params).words() if p >> w.mask & 1]}
 
 
 def report_to_json(report: ExtremalReport) -> dict:

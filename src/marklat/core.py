@@ -477,8 +477,13 @@ def enumerate_words(params: LatticeParams) -> list:
 
 def enumerate_d_slice(params: LatticeParams, d: int) -> list:
     """The words using exactly ``d`` nonzero marks, in canonical order."""
-    from . import hasse  # deferred: hasse imports this module
-
     if not 1 <= d <= params.n:
         raise DomainError(f"need 1 <= d <= n, got d={d} for {params}")
-    return [w for w in hasse.build(params).words() if w.mask.bit_count() == d]
+    return list(_d_slice_words(params, d))
+
+
+@lru_cache(maxsize=256)
+def _d_slice_words(params: LatticeParams, d: int) -> tuple:
+    from . import hasse  # deferred: hasse imports this module
+
+    return tuple(w for w in hasse.build(params).words() if w.mask.bit_count() == d)

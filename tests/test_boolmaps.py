@@ -6,6 +6,7 @@ import pytest
 
 from marklat.boolmaps import (
     BooleanMap,
+    ExtremalResult,
     check_axioms,
     enumerate_wbm,
     gamma,
@@ -50,6 +51,25 @@ def brute_wbm_psets(params):
         if any(w not in p and complement(w) not in p for w in words):
             continue
         found.add(p)
+    return found
+
+
+def unpruned_census(params):
+    """Every weighted labeling in walk order with its LP verdict: the
+    plain loop the pruned minima must agree with."""
+    return [(m, is_representable(m)) for m in enumerate_wbm(params)]
+
+
+def first_minimum(census, d, representable):
+    """The first minimum in walk order over an unpruned census, over
+    every labeling or only the representable ones."""
+    found = None
+    for m, res in census:
+        if representable and not res.representable:
+            continue
+        size = m.p_count if d is None else m.p_count_d(d)
+        if found is None or size < found.value:
+            found = ExtremalResult(size, m, res.witness if representable else None)
     return found
 
 
@@ -355,24 +375,41 @@ class TestGamma:
                 gamma_tilde(LatticeParams(3, bad_r))
 
     def test_d_slice_variants_match_direct_minimum(self):
-        # min() keeps the first of tied maps: every minimizer must be the
-        # first minimum in enumeration order, the one the CLI prints
-        for n in (2, 3, 4):
+        # the pruned minima against a loop that runs the LP on every
+        # labeling: the same value, the same first minimizer in walk
+        # order (the one the CLI prints) and the same witness
+        for n in (2, 3, 4, 5):
             for r in range(1, n):
                 p = LatticeParams(n, r)
-                pool = list(enumerate_wbm(p))
-                rep = [m for m in pool if is_representable(m).representable]
-                for d in range(1, n + 1):
-                    first = min(pool, key=lambda m: m.p_count_d(d))
-                    first_rep = min(rep, key=lambda m: m.p_count_d(d))
-                    tilde, exact = gamma_tilde_d(p, d), gamma_d(p, d)
-                    assert (tilde.value, tilde.minimizer) == (first.p_count_d(d), first)
-                    assert (exact.value, exact.minimizer) == (first_rep.p_count_d(d), first_rep)
+                census = unpruned_census(p)
+                for d in (None, *range(1, n + 1)):
+                    if d is None:
+                        tilde, exact = gamma_tilde(p), gamma(p)
+                    else:
+                        tilde, exact = gamma_tilde_d(p, d), gamma_d(p, d)
+                    assert tilde == first_minimum(census, d, False)
+                    assert exact == first_minimum(census, d, True)
                     assert wb_vs_rwb_report(p, d).minimizer == exact.minimizer
-                exact = gamma(p)
-                assert gamma_tilde(p).minimizer == min(pool, key=lambda m: m.p_count)
-                assert exact.minimizer == min(rep, key=lambda m: m.p_count)
-                assert wb_vs_rwb_report(p).minimizer == exact.minimizer
+
+    def test_cap_counts_the_labelings_the_pruned_walk_reaches(self):
+        # L(4, 2) has 8 weighted labelings and its minimum is the first
+        assert gamma(LatticeParams(4, 2), cap=1).value == 9
+        with pytest.raises(ResourceLimitError):
+            wb_vs_rwb_report(LatticeParams(4, 2), cap=1)
+        # gamma_d(L(5, 3), 2) reaches 3 of the 86 labelings
+        p = LatticeParams(5, 3)
+        assert gamma_d(p, 2, cap=3).value == gamma_d(p, 2).value
+        with pytest.raises(ResourceLimitError) as info:
+            gamma_d(p, 2, cap=2)
+        assert info.value.count == 2
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_frontier_values(self, n):
+        for r in range(1, n):
+            p = LatticeParams(n, r)
+            g = gamma(p, n_guard=n)
+            assert g.value == gamma_tilde(p, n_guard=n).value == (1 << (n - 1)) + 1
+            assert induced_map(g.witness).mask == g.minimizer.mask
 
     def test_d_out_of_range(self):
         with pytest.raises(DomainError):
@@ -400,13 +437,24 @@ class TestPsi:
     def test_matches_direct_minimum(self):
         from math import comb
 
-        for n in (2, 3, 4):
+        for n in (2, 3, 4, 5):
+            census = [unpruned_census(LatticeParams(n, r)) for r in range(1, n)]
             for d in range(1, n + 1):
-                direct = min(
-                    [gamma_d(LatticeParams(n, r), d).value for r in range(1, n)]
-                    + [comb(n, d)]
-                )
-                assert psi(n, d).value == direct
+                direct = None
+                for c in census:
+                    found = first_minimum(c, d, True)
+                    if direct is None or found.value < direct.value:
+                        direct = found
+                if comb(n, d) < direct.value:
+                    direct = ExtremalResult(comb(n, d), None, None)
+                assert psi(n, d) == direct
+
+    def test_frontier_values(self):
+        for n, value in ((6, 5), (7, 6)):
+            res = psi(n, 2, n_guard=n)
+            assert res.value == value
+            assert res.minimizer.p_count_d(2) == value
+            assert induced_map(res.witness).mask == res.minimizer.mask
 
     def test_bad_arguments(self):
         with pytest.raises(DomainError):

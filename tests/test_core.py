@@ -521,6 +521,9 @@ class TestEnumeration:
         for d in range(1, 6):
             got = list(enumerate_d_slice(p, d))
             assert got == [w for w in enumerate_words(p) if w.nonzero_count == d]
+        # each call hands out its own list
+        enumerate_d_slice(p, 2).clear()
+        assert len(enumerate_d_slice(p, 2)) == 10
         with pytest.raises(DomainError):
             list(enumerate_d_slice(p, 0))
         with pytest.raises(DomainError):
