@@ -146,11 +146,10 @@ def check_axioms(bmap: BooleanMap) -> AxiomCheck:
         raise DomainError(
             "labeling conditions are unspecified without a negative mark (r = n)"
         )
-    up, _, _ = _tables(params)
     p = bmap.mask
     full = (1 << params.n) - 1
     violated = []
-    if any(up[m] & ~p for m in range(full + 1) if p >> m & 1):
+    if _p_covers(params, p) & ~p:
         violated.append("monotone")
     if not p & 1:
         violated.append("zero_word")
@@ -162,6 +161,62 @@ def check_axioms(bmap: BooleanMap) -> AxiomCheck:
         violated.append("full_word")
     is_bm = not any(v in BASIC_AXIOMS for v in violated)
     return AxiomCheck(is_bm, is_bm and len(violated) == 0, tuple(violated))
+
+
+def _shifted(x: int, shift: int) -> int:
+    """Labeling mask x with each word mask m moved to m + shift."""
+    return x << shift if shift > 0 else x >> -shift
+
+
+@lru_cache(maxsize=16)
+def _cover_shifts(params: LatticeParams) -> tuple:
+    """The cover relation as ``(shift, lows)`` pairs, one per distinct
+    ``hi.mask - lo.mask`` (at most n of them): ``lows`` is the labeling
+    mask of the lower words of the covers with that shift, so shifting
+    ``x & lows`` by ``shift`` moves each such word of x onto its cover."""
+    lows = {}
+    for lo, hi in hasse.build(params).edges:
+        shift = hi.mask - lo.mask
+        lows[shift] = lows.get(shift, 0) | 1 << lo.mask
+    return tuple(lows.items())
+
+
+def _p_covers(params: LatticeParams, pos: int) -> int:
+    """Labeling mask of the words covering some word of ``pos``: the
+    P-region ``pos`` is an up-set exactly when this lies inside it."""
+    covers = 0
+    for shift, lows in _cover_shifts(params):
+        covers |= _shifted(pos & lows, shift)
+    return covers
+
+
+def _bits(x: int) -> Iterator[int]:
+    """The set bits of x, ascending."""
+    while x:
+        low_bit = x & -x
+        yield low_bit.bit_length() - 1
+        x ^= low_bit
+
+
+@lru_cache(maxsize=16)
+def _row_halves(params: LatticeParams) -> tuple:
+    """The LP row of a boundary word m, split at the bar:
+    ``pos_half[m & low][side]`` holds the coefficients of the positive
+    increments and ``neg_half[m >> r][side]`` those of the negative ones
+    with the row's bound; ``side`` is 0 for a minimal P and 1 for a
+    maximal N word."""
+    r, n = params.r, params.n
+    pos_half = []
+    for m in range(1 << r):
+        e = tuple((m >> k).bit_count() for k in range(r))
+        pos_half.append((tuple(-c for c in e), e))
+    neg_half = []
+    for m in range(1 << (n - r)):
+        e = tuple(-(m >> k).bit_count() for k in range(n - r))
+        marks = m.bit_count()
+        # sum >= 0; sum < 0, scaled to <= -1
+        neg_half.append(((tuple(-c for c in e), -marks), (e, marks - 1)))
+    return tuple(pos_half), tuple(neg_half)
 
 
 @lru_cache(maxsize=16)
@@ -303,37 +358,42 @@ def is_representable(bmap: BooleanMap, require_weight: bool = True) -> Represent
     """
     params = bmap.params
     n, r = params.n, params.r
-    up, down, _ = _tables(params)
     pos = bmap.mask
-    if any(up[m] & ~pos for m in range(1 << n) if pos >> m & 1):
+    neg = ((1 << (1 << n)) - 1) ^ pos
+    # one shift per cover kind moves a whole labeling onto the covers: a
+    # P-word covered by an N-word breaks the up-set
+    p_covers = _p_covers(params, pos)
+    if p_covers & neg:
         return RepresentabilityResult(False, None)
     # the weight flag asks for a nonnegative total, the full word's sum:
     # exactly that the full word is P
     if require_weight and not pos >> ((1 << n) - 1) & 1:
         return RepresentabilityResult(False, None)
+    n_covered = 0
+    for shift, lows in _cover_shifts(params):
+        n_covered |= _shifted(neg, -shift) & lows
     # the map is monotone, so constraining only the boundary words is
-    # enough: every other word's sum lies above a minimal P or below a
-    # maximal N one.  The zero word's sum is 0, so as a minimal P it
-    # would pose only 0 <= 0 and is skipped
-    minimal_p = [m for m in range(1, 1 << n) if down[m] & pos == 1 << m]
-    maximal_n = [m for m in range(1 << n) if up[m] & ~pos == 1 << m]
+    # enough: every other word's sum lies above a minimal P (no P lower
+    # cover) or below a maximal N (no N upper cover) one.  The zero
+    # word's sum is 0, so as a minimal P it would pose only 0 <= 0 and is
+    # skipped
+    minimal_p = pos & ~p_covers & ~1
+    maximal_n = neg & ~n_covered
 
     # the variables are the chain increments, each >= 0: f(pos(1)), then
     # f(pos(i+1)) - f(pos(i)), then -1 - f(neg(1)) (neg(1) < 0, scaled to
     # <= -1), then f(neg(j)) - f(neg(j+1)).  A mark's value is a prefix
     # sum of its side, so a word's sum gives each increment the count of
     # the word's marks at or beyond it (negated on the negative side) and
-    # adds -1 per negative mark
+    # adds -1 per negative mark.  Rows go in ascending word mask order,
+    # minimal P (sum >= 0) first, then maximal N (sum <= -1)
     low = (1 << r) - 1
-
-    def word_row(m, sign):
-        e = [((m & low) >> k).bit_count() for k in range(r)]
-        e += [-(m >> k).bit_count() for k in range(r, n)]
-        return [sign * c for c in e]
-
-    rows = [(word_row(m, -1), -(m >> r).bit_count()) for m in minimal_p]  # sum >= 0
-    # sum < 0, scaled to <= -1
-    rows += [(word_row(m, 1), (m >> r).bit_count() - 1) for m in maximal_n]
+    pos_half, neg_half = _row_halves(params)
+    rows = []
+    for side, words in enumerate((minimal_p, maximal_n)):
+        for m in _bits(words):
+            neg_coeffs, bound = neg_half[m >> r][side]
+            rows.append((pos_half[m & low][side] + neg_coeffs, bound))
 
     point = feasible_point(rows, n)
     if point is None:
@@ -382,11 +442,15 @@ def _sweep(params, d, cap, n_guard, representable, census=False, collect=False):
     only strictly smaller labelings are yielded and given an LP.  The
     walk order is unchanged, so the first minimizer and its witness are
     the census's; ``wb``, ``rwb`` and ``cap`` count only the labelings
-    reached.
+    reached.  Over all words (d is None) a minimum also stops at its
+    floor: every weighted labeling holds one word of each complement
+    pair and both the zero and the full word, so 2^(n-1) + 1 P-words,
+    and once the incumbent has that size no later labeling is smaller.
     """
     _check_extremal_params(params, d)
     slice_mask = (1 << (1 << params.n)) - 1 if d is None else _d_slice(params.n, d)
     incumbent = None if census else _Incumbent(slice_mask)
+    floor = (1 << (params.n - 1)) + 1 if d is None else None
     wb = rwb = 0
     tilde = best = witness = None
     bad = []
@@ -406,6 +470,8 @@ def _sweep(params, d, cap, n_guard, representable, census=False, collect=False):
         found = best if representable else tilde
         if incumbent is not None and found is not None:
             incumbent.size = found[0]
+            if found[0] == floor:
+                break
     return wb, rwb, tilde, best, witness, bad
 
 

@@ -9,33 +9,43 @@ objective, so the decision runs the least-index criss-cross rule
 (Terlaky 1985; Fukuda and Terlaky, Math. Programming 79, 1997) straight
 from the slack basis: no artificial columns and no ratio test.  Of the
 rows with a negative right hand side, the one whose basic variable has
-the least column index leaves; the least column with a negative entry
-in that row enters.  With a zero objective every basis is dual
-feasible, so this is Bland's rule on the dual simplex, and the
-least-index argument shows it never returns to a basis: it terminates.
-Rows are taken as given.  An all-zero row needs no special case: its
-slack stays basic, so with a bound >= 0 it never pivots, and with a
-negative bound no pivot repairs it and the walk ends on a stuck row.
+the least index leaves; of the columns with a negative entry in that
+row, the one whose variable has the least index enters.  Variables are
+numbered ``x`` first, then one slack per row.  With a zero objective
+every basis is dual feasible, so this is Bland's rule on the dual
+simplex, and the least-index argument shows it never returns to a
+basis: it terminates.  Rows are taken as given.  An all-zero row needs
+no special case: its slack stays basic, so with a bound >= 0 it never
+pivots, and with a negative bound no pivot repairs it and the walk ends
+on a stuck row.
 
-The tableau holds only integers.  One common multiple ``L`` of every
-denominator clears the fractions: row ``i`` starts as
-``[A_i L | e_i | b_i L]``.  That rescales whole columns by positive
-factors, so no sign the rule reads changes.  Pivots are fraction-free
-(Edmonds, Bareiss): the true tableau is ``T / D`` for one divisor
-``D > 0``, starting at 1.  A pivot on row ``r`` and column ``c`` with
-element ``-q < 0`` updates every other row to ``(q T_i + T_i[c] T_r) // D``,
-negates the pivot row and sets ``D = q``; the division is exact because
-each entry stays a minor of the starting integer matrix.  When
-``q == D``, as in most pivots on rows of 0, 1 and -1, the update is
-``T_i + T_i[c] T_r // D`` and changes only the pivot row's nonzero
-columns.
+The tableau is condensed, as in the dictionaries of Avis's ``lrs``: row
+``i`` holds only the ``num_vars`` nonbasic columns and the right hand
+side, each column labelled with its variable, and the basic columns,
+a multiple of the identity, are left implicit.  It holds only integers.
+One common multiple ``L`` of every denominator clears the fractions:
+row ``i`` starts as ``[A_i L | b_i L]`` with slack ``i`` basic.  That
+rescales whole columns by positive factors, so no sign the rule reads
+changes.  Pivots are fraction-free (Edmonds, Bareiss): the true
+tableau is ``T / D`` for one divisor ``D > 0``, starting at 1.  A pivot
+on row ``r`` and column ``c`` with element ``-q < 0`` updates every
+other row to ``(q T_i + T_i[c] T_r) // D``, negates the pivot row and
+sets ``D = q``; the division is exact because each entry stays a minor
+of the starting integer matrix.  The leaving variable then takes column
+``c``, where each other row keeps its old entry ``T_i[c]`` and the pivot
+row gets ``-D``, the old divisor: the entries the full tableau would
+have in the leaving variable's column.  When ``q == D``, as in most
+pivots on rows of 0, 1 and -1, the update is ``T_i + T_i[c] T_r // D``
+and changes only the pivot row's nonzero columns.
 
 Both answers are certified.  A returned point is checked against every
 row and for signs with `satisfies`.  When the leaving row has no
 negative entry, it reads "basic variable plus a nonnegative combination
 of the others equals a negative number", and its slack entries, a row
 of the basis inverse, are Farkas multipliers ``y >= 0`` with
-``y A >= 0`` and ``y b < 0``; `refutes` checks them before None is
+``y A >= 0`` and ``y b < 0``: the entries of its nonbasic slack
+columns, ``D`` at its own basic variable if that is a slack, and 0 at
+every other basic slack.  `refutes` checks them before None is
 returned.
 """
 
@@ -101,16 +111,14 @@ def feasible_point(rows: Sequence, num_vars: int) -> Optional[list]:
             denominators.add(v.denominator)
     scale = lcm(*denominators)
 
-    m = len(rows)
-    # columns: x (num_vars), slacks (m), rhs; every slack starts basic
-    width = num_vars + m
-    tableau = []
-    for i, (coeffs, bound) in enumerate(rows):
-        t = [v.numerator * (scale // v.denominator) for v in (*coeffs, bound)]
-        t[num_vars:num_vars] = [0] * m
-        t[num_vars + i] = 1
-        tableau.append(t)
-    basis = list(range(num_vars, width))
+    # columns: the nonbasic variables cols[j], then the right hand side;
+    # basis[i] is row i's basic variable, and every slack starts basic
+    tableau = [
+        [v.numerator * (scale // v.denominator) for v in (*coeffs, bound)]
+        for coeffs, bound in rows
+    ]
+    cols = list(range(num_vars))
+    basis = list(range(num_vars, num_vars + len(rows)))
     divisor = 1
     while True:
         negative = (i for i, t in enumerate(tableau) if t[-1] < 0)
@@ -118,15 +126,26 @@ def feasible_point(rows: Sequence, num_vars: int) -> Optional[list]:
         if leaving is None:
             break
         pivot_row = tableau[leaving]
-        entering = next((j for j in range(width) if pivot_row[j] < 0), None)
+        entering = min(
+            (j for j in range(num_vars) if pivot_row[j] < 0), key=cols.__getitem__, default=None
+        )
         if entering is None:
-            # the stuck row: its slack entries are Farkas multipliers
-            if not refutes(rows, pivot_row[num_vars:width]):
+            # the stuck row: its slack entries are Farkas multipliers,
+            # D at its own basic slack and 0 at every other basic one
+            y = [0] * len(rows)
+            for j, var in enumerate(cols):
+                if var >= num_vars:
+                    y[var - num_vars] = pivot_row[j]
+            if basis[leaving] >= num_vars:
+                y[basis[leaving] - num_vars] = divisor
+            if not refutes(rows, y):
                 raise RuntimeError("Farkas multipliers fail to refute the rows; the tableau is corrupt")
             return None
+        # the leaving variable takes the entering one's column, where
+        # every other row keeps its entry f and the pivot row gets -D
         q = -pivot_row[entering]
         if q == divisor:
-            nonzero = [(j, b) for j, b in enumerate(pivot_row) if b]
+            nonzero = [(j, b) for j, b in enumerate(pivot_row) if b and j != entering]
             for i, t in enumerate(tableau):
                 f = t[entering]
                 if f and i != leaving:
@@ -136,15 +155,18 @@ def feasible_point(rows: Sequence, num_vars: int) -> Optional[list]:
             for i, t in enumerate(tableau):
                 if i != leaving:
                     f = t[entering]
-                    tableau[i] = [(q * a + f * b) // divisor for a, b in zip(t, pivot_row)]
+                    t = tableau[i] = [(q * a + f * b) // divisor for a, b in zip(t, pivot_row)]
+                    t[entering] = f
         tableau[leaving] = [-b for b in pivot_row]
+        tableau[leaving][entering] = -divisor
         divisor = q
-        basis[leaving] = entering
+        cols[entering], basis[leaving] = basis[leaving], cols[entering]
 
-    values = [0] * width
+    values = [0] * num_vars
     for t, b in zip(tableau, basis):
-        values[b] = t[-1]
-    solution = [Fraction(v, divisor) for v in values[:num_vars]]
+        if b < num_vars:
+            values[b] = t[-1]
+    solution = [Fraction(v, divisor) for v in values]
     if not satisfies(rows, solution):
         raise RuntimeError("criss-cross solution fails its own rows; the tableau is corrupt")
     return solution

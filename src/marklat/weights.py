@@ -24,7 +24,8 @@ from importlib import resources
 from math import lcm
 from typing import Sequence
 
-from .core import LatticeParams, Symbol, Word, enumerate_words
+# enumerate_words is looked up here by bench/spans.py, which traces it
+from .core import LatticeParams, Symbol, Word, enumerate_words  # noqa: F401
 from .errors import DomainError, ValidationError
 
 __all__ = [
@@ -164,9 +165,9 @@ def induced_map(f: NrFunction):
         step = v.numerator * (scale // v.denominator)
         sums += [s + step for s in sums]
     mask = 0
-    for w in enumerate_words(f.params):
-        if sums[w.mask] >= 0:
-            mask |= 1 << w.mask
+    for m, s in enumerate(sums):
+        if s >= 0:
+            mask |= 1 << m
     return BooleanMap._from_mask(f.params, mask)
 
 

@@ -7,6 +7,9 @@ ranks from breadth-first search over those covers.  Only Word.values is
 trusted (it is itself pinned against hand examples in test_core).
 """
 
+from fractions import Fraction
+from math import lcm
+
 from marklat.core import Word
 
 SEED = 1729
@@ -164,3 +167,72 @@ def scan_walk_masks(params, up, down, decision):
             if st is not None:
                 stack.append((*st, at + 1))
     return out
+
+
+def boundary_rows(params, up, down, pos, require_weight=True):
+    """The LP rows ``is_representable`` poses for the labeling ``pos``,
+    by a scan over every word: None when the labeling is not an up-set
+    (some P word has an N word above it) or fails the weight flag (the
+    full word is N), else one row per minimal P word (no other P word
+    below; the zero word skipped) and then one per maximal N word (no
+    other N word above), each in ascending mask order.  ``up`` and
+    ``down`` are closure masks as `leq_table` returns them."""
+    n, r = params.n, params.r
+    if any(up[m] & ~pos for m in range(1 << n) if pos >> m & 1):
+        return None
+    if require_weight and not pos >> ((1 << n) - 1) & 1:
+        return None
+    low = (1 << r) - 1
+
+    def word_row(m, sign):
+        # chain-increment coefficients: the count of the word's marks at
+        # or beyond each increment, negated on the negative side
+        e = [((m & low) >> k).bit_count() for k in range(r)]
+        e += [-(m >> k).bit_count() for k in range(r, n)]
+        return tuple(sign * c for c in e)
+
+    minimal_p = [m for m in range(1, 1 << n) if down[m] & pos == 1 << m]
+    maximal_n = [m for m in range(1 << n) if up[m] & ~pos == 1 << m]
+    rows = [(word_row(m, -1), -(m >> r).bit_count()) for m in minimal_p]
+    rows += [(word_row(m, 1), (m >> r).bit_count() - 1) for m in maximal_n]
+    return rows
+
+
+def full_tableau_point(rows, num_vars):
+    """The least-index criss-cross decision on the full tableau
+    ``[A L | e_i | b L]``, with a column for every slack: ``(point,
+    None)`` for a feasible system, ``(None, y)`` with the stuck row's
+    slack entries as Farkas multipliers otherwise.  Pivots are
+    fraction-free over one divisor, as in the library."""
+    scale = lcm(*{v.denominator for coeffs, bound in rows for v in (*coeffs, bound)})
+    m = len(rows)
+    width = num_vars + m
+    tableau = []
+    for i, (coeffs, bound) in enumerate(rows):
+        t = [v.numerator * (scale // v.denominator) for v in (*coeffs, bound)]
+        t[num_vars:num_vars] = [0] * m
+        t[num_vars + i] = 1
+        tableau.append(t)
+    basis = list(range(num_vars, width))
+    divisor = 1
+    while True:
+        negative = [i for i, t in enumerate(tableau) if t[-1] < 0]
+        if not negative:
+            break
+        leaving = min(negative, key=basis.__getitem__)
+        pivot_row = tableau[leaving]
+        entering = next((j for j in range(width) if pivot_row[j] < 0), None)
+        if entering is None:
+            return None, pivot_row[num_vars:width]
+        q = -pivot_row[entering]
+        for i, t in enumerate(tableau):
+            if i != leaving:
+                f = t[entering]
+                tableau[i] = [(q * a + f * b) // divisor for a, b in zip(t, pivot_row)]
+        tableau[leaving] = [-b for b in pivot_row]
+        divisor = q
+        basis[leaving] = entering
+    values = [0] * width
+    for t, b in zip(tableau, basis):
+        values[b] = t[-1]
+    return [Fraction(v, divisor) for v in values[:num_vars]], None

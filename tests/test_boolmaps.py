@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import random
 import sys
 
 import pytest
@@ -23,9 +24,16 @@ from marklat.boolmaps import (
 from marklat.core import LatticeParams, Word, complement, enumerate_words, parse_word
 from marklat.errors import DomainError, ResourceLimitError
 from marklat.hasse import build
-from marklat.weights import induced_map, sigma
+from marklat.weights import induced_map, random_nr_function, sigma
 
-from helpers import all_words, scan_walk_masks
+from helpers import (
+    SEED,
+    all_words,
+    boundary_rows,
+    full_tableau_point,
+    leq_table,
+    scan_walk_masks,
+)
 
 
 def make_map(n, r, strings):
@@ -143,6 +151,18 @@ class TestCheckAxioms:
                 assert chk.violated == want
                 assert chk.is_bm == (not set(want) & {"monotone", "zero_word", "negative_unit"})
                 assert chk.is_wbm == (want == ())
+    def test_monotone_matches_the_closure_scan_on_every_mask(self):
+        # the cover shifts decide "monotone" against the word-by-word scan
+        # of up-closures, on every labeling of L(n, r), n <= 4
+        for n in range(1, 5):
+            for r in range(n):
+                p = LatticeParams(n, r)
+                _, up, _ = leq_table(p)
+                for mask in range(1 << (1 << n)):
+                    scan = any(up[m] & ~mask for m in range(1 << n) if mask >> m & 1)
+                    chk = check_axioms(BooleanMap._from_mask(p, mask))
+                    assert ("monotone" in chk.violated) == scan
+
     def test_all_p_fails_negative_unit_only(self):
         p = LatticeParams(3, 1)
         m = BooleanMap(p, frozenset(all_words(p)))
@@ -343,6 +363,54 @@ class TestRepresentability:
         assert systems
         assert all(any(coeffs) for rows in systems for coeffs, _ in rows)
 
+    def test_boundary_rows_match_the_word_scan(self, monkeypatch):
+        # the rows handed to the LP, in order, against a scan over every
+        # word: every labeling of L(n, r), n <= 4, and every weighted one
+        # at n = 5, 6
+        from marklat import boolmaps, feasibility
+
+        systems = []
+
+        def recording(rows, num_vars):
+            systems.append(rows)
+            return feasibility.feasible_point(rows, num_vars)
+
+        monkeypatch.setattr(boolmaps, "feasible_point", recording)
+        lattices = [
+            (LatticeParams(n, r), range(1 << (1 << n))) for n in range(1, 5) for r in range(n + 1)
+        ]
+        lattices += [
+            (p, [m.mask for m in enumerate_wbm(p, n_guard=6)])
+            for n in (5, 6)
+            for p in map(LatticeParams, [n] * (n - 1), range(1, n))
+        ]
+        for p, masks in lattices:
+            _, up, down = leq_table(p)
+            for mask in masks:
+                for require_weight in (True, False):
+                    systems.clear()
+                    is_representable(BooleanMap._from_mask(p, mask), require_weight)
+                    want = boundary_rows(p, up, down, mask, require_weight)
+                    assert systems == ([] if want is None else [want])
+
+    def test_verdicts_on_random_labelings_up_to_n8(self):
+        # random masks (almost never up-sets), induced maps (always
+        # representable) and induced maps with one word flipped, against
+        # the word scan and the full-tableau LP
+        rng = random.Random(SEED)
+        for n in range(5, 9):
+            for r in range(1, n):
+                p = LatticeParams(n, r)
+                _, up, down = leq_table(p)
+                masks = [rng.getrandbits(1 << n) for _ in range(20)]
+                for _ in range(20):
+                    induced = induced_map(random_nr_function(p, rng, require_weight=True)).mask
+                    masks += [induced, induced ^ 1 << rng.randrange(1 << n)]
+                for mask in masks:
+                    rows = boundary_rows(p, up, down, mask)
+                    want = rows is not None and full_tableau_point(rows, n)[0] is not None
+                    assert is_representable(BooleanMap._from_mask(p, mask)).representable == want
+
     def test_f85_induced_map_round_trips(self):
         from marklat.weights import load_f85
 
@@ -410,6 +478,31 @@ class TestGamma:
             g = gamma(p, n_guard=n)
             assert g.value == gamma_tilde(p, n_guard=n).value == (1 << (n - 1)) + 1
             assert induced_map(g.witness).mask == g.minimizer.mask
+
+    def test_the_floor_closes_the_walk(self, monkeypatch):
+        # no weighted labeling of L(8, 4) holds fewer than 2^7 + 1 P
+        # words: the first leaf reaches that, so the walk stops there
+        # instead of popping every remaining state
+        from marklat import boolmaps
+
+        walks = []
+        real = boolmaps.enumerate_wbm
+
+        def recording(*args, **kwargs):
+            walk = {"yielded": 0, "exhausted": False}
+            walks.append(walk)
+
+            def traced():
+                for bmap in real(*args, **kwargs):
+                    walk["yielded"] += 1
+                    yield bmap
+                walk["exhausted"] = True
+
+            return traced()
+
+        monkeypatch.setattr(boolmaps, "enumerate_wbm", recording)
+        assert gamma_tilde(LatticeParams(8, 4), n_guard=8).value == 129
+        assert walks == [{"yielded": 1, "exhausted": False}]
 
     def test_d_out_of_range(self):
         with pytest.raises(DomainError):

@@ -6,7 +6,7 @@ import pytest
 from marklat import feasibility
 from marklat.feasibility import feasible_point, refutes, satisfies
 
-from helpers import SEED
+from helpers import SEED, full_tableau_point
 
 
 def check(rows, num_vars):
@@ -172,68 +172,92 @@ def fraction_row(rng, num_vars):
     return tuple(F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(num_vars))
 
 
+def planted_systems():
+    """Integer rows all met by a planted nonnegative point."""
+    rng = random.Random(SEED)
+    for trial in range(200):
+        num_vars = rng.randint(1, 5)
+        planted = [F(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(num_vars)]
+        rows = []
+        for _ in range(rng.randint(1, 10)):
+            coeffs = tuple(rng.randint(-3, 3) for _ in range(num_vars))
+            slack = F(rng.randint(0, 5), rng.randint(1, 3))
+            bound = sum(c * v for c, v in zip(coeffs, planted)) + slack
+            rows.append((coeffs, bound))
+        yield rows, num_vars
+
+
+def contradiction_systems():
+    """Integer rows holding ``c x <= b`` and ``-c x <= -b - gap``."""
+    rng = random.Random(SEED + 1)
+    for trial in range(100):
+        num_vars = rng.randint(1, 4)
+        coeffs = tuple(rng.randint(-3, 3) for _ in range(num_vars))
+        if not any(coeffs):
+            continue
+        bound = F(rng.randint(-5, 5))
+        gap = F(rng.randint(1, 4))
+        rows = [(coeffs, bound), (tuple(-c for c in coeffs), -bound - gap)]
+        extra = [
+            (tuple(rng.randint(-2, 2) for _ in range(num_vars)), F(rng.randint(0, 9)))
+            for _ in range(rng.randint(0, 4))
+        ]
+        yield rows + extra, num_vars
+
+
+def fraction_planted_systems():
+    """Fraction rows all met by a planted nonnegative point."""
+    rng = random.Random(SEED + 3)
+    for trial in range(200):
+        num_vars = rng.randint(1, 5)
+        planted = [F(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(num_vars)]
+        rows = []
+        for _ in range(rng.randint(1, 10)):
+            coeffs = fraction_row(rng, num_vars)
+            slack = F(rng.randint(0, 5), rng.randint(1, 4))
+            bound = sum(c * v for c, v in zip(coeffs, planted)) + slack
+            rows.append((coeffs, bound))
+        yield rows, num_vars
+
+
+def fraction_contradiction_systems():
+    """Fraction rows holding ``c x <= b`` and ``-c x <= -b - gap``."""
+    rng = random.Random(SEED + 4)
+    for trial in range(100):
+        num_vars = rng.randint(1, 4)
+        coeffs = fraction_row(rng, num_vars)
+        if not any(coeffs):
+            continue
+        bound = F(rng.randint(-5, 5), rng.randint(1, 4))
+        gap = F(rng.randint(1, 4), rng.randint(1, 4))
+        rows = [(coeffs, bound), (tuple(-c for c in coeffs), -bound - gap)]
+        extra = [
+            (fraction_row(rng, num_vars), F(rng.randint(0, 9), rng.randint(1, 4)))
+            for _ in range(rng.randint(0, 4))
+        ]
+        yield rows + extra, num_vars
+
+
 class TestRandomized:
     def test_planted_solutions_are_found(self):
-        rng = random.Random(SEED)
-        for trial in range(200):
-            num_vars = rng.randint(1, 5)
-            planted = [F(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(num_vars)]
-            rows = []
-            for _ in range(rng.randint(1, 10)):
-                coeffs = tuple(rng.randint(-3, 3) for _ in range(num_vars))
-                slack = F(rng.randint(0, 5), rng.randint(1, 3))
-                bound = sum(c * v for c, v in zip(coeffs, planted)) + slack
-                rows.append((coeffs, bound))
+        for rows, num_vars in planted_systems():
             point = feasible_point(rows, num_vars)
             assert point is not None
             assert satisfies(rows, point)
 
     def test_planted_contradictions_are_rejected(self):
-        rng = random.Random(SEED + 1)
-        for trial in range(100):
-            num_vars = rng.randint(1, 4)
-            coeffs = tuple(rng.randint(-3, 3) for _ in range(num_vars))
-            if not any(coeffs):
-                continue
-            bound = F(rng.randint(-5, 5))
-            gap = F(rng.randint(1, 4))
-            rows = [(coeffs, bound), (tuple(-c for c in coeffs), -bound - gap)]
-            extra = [
-                (tuple(rng.randint(-2, 2) for _ in range(num_vars)), F(rng.randint(0, 9)))
-                for _ in range(rng.randint(0, 4))
-            ]
-            assert feasible_point(rows + extra, num_vars) is None
+        for rows, num_vars in contradiction_systems():
+            assert feasible_point(rows, num_vars) is None
 
     def test_planted_solutions_with_fraction_coefficients(self):
-        rng = random.Random(SEED + 3)
-        for trial in range(200):
-            num_vars = rng.randint(1, 5)
-            planted = [F(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(num_vars)]
-            rows = []
-            for _ in range(rng.randint(1, 10)):
-                coeffs = fraction_row(rng, num_vars)
-                slack = F(rng.randint(0, 5), rng.randint(1, 4))
-                bound = sum(c * v for c, v in zip(coeffs, planted)) + slack
-                rows.append((coeffs, bound))
+        for rows, num_vars in fraction_planted_systems():
             assert check(rows, num_vars) is not None
 
     def test_planted_contradictions_with_fraction_coefficients(self, monkeypatch):
         certificates = record_refutes(monkeypatch)
-        rng = random.Random(SEED + 4)
         infeasible = 0
-        for trial in range(100):
-            num_vars = rng.randint(1, 4)
-            coeffs = fraction_row(rng, num_vars)
-            if not any(coeffs):
-                continue
-            bound = F(rng.randint(-5, 5), rng.randint(1, 4))
-            gap = F(rng.randint(1, 4), rng.randint(1, 4))
-            rows = [(coeffs, bound), (tuple(-c for c in coeffs), -bound - gap)]
-            extra = [
-                (fraction_row(rng, num_vars), F(rng.randint(0, 9), rng.randint(1, 4)))
-                for _ in range(rng.randint(0, 4))
-            ]
-            assert feasible_point(rows + extra, num_vars) is None
+        for rows, num_vars in fraction_contradiction_systems():
+            assert feasible_point(rows, num_vars) is None
             infeasible += 1
         assert [accepted for _, accepted in certificates] == [True] * infeasible
 
@@ -268,24 +292,59 @@ def degenerate_system(rng, num_vars):
     return rows
 
 
+def degenerate_systems():
+    rng = random.Random(SEED + 6)
+    for trial in range(400):
+        num_vars = rng.randint(1, 6)
+        yield degenerate_system(rng, num_vars), num_vars
+
+
+def degenerate_contradiction_systems():
+    """Degenerate systems with ``c x <= 0`` and ``-c x <= -1`` (each
+    possibly twice) inserted."""
+    rng = random.Random(SEED + 7)
+    for trial in range(400):
+        num_vars = rng.randint(1, 6)
+        rows = degenerate_system(rng, num_vars)
+        coeffs = tuple(rng.choice((-1, 0, 1)) for _ in range(num_vars))
+        contradiction = [(coeffs, 0), (tuple(-c for c in coeffs), -1)]
+        contradiction += rng.sample(contradiction, rng.randint(0, 2))
+        for row in contradiction:
+            rows.insert(rng.randint(0, len(rows)), row)
+        yield rows, num_vars
+
+
 class TestDegenerate:
     def test_planted_solutions_are_found(self):
-        rng = random.Random(SEED + 6)
-        for trial in range(400):
-            num_vars = rng.randint(1, 6)
-            assert check(degenerate_system(rng, num_vars), num_vars) is not None
+        for rows, num_vars in degenerate_systems():
+            assert check(rows, num_vars) is not None
 
     def test_planted_contradictions_are_refuted(self, monkeypatch):
         certificates = record_refutes(monkeypatch)
-        rng = random.Random(SEED + 7)
-        for trial in range(400):
-            num_vars = rng.randint(1, 6)
-            rows = degenerate_system(rng, num_vars)
-            coeffs = tuple(rng.choice((-1, 0, 1)) for _ in range(num_vars))
-            # coeffs . x <= 0 and -coeffs . x <= -1, each possibly twice
-            contradiction = [(coeffs, 0), (tuple(-c for c in coeffs), -1)]
-            contradiction += rng.sample(contradiction, rng.randint(0, 2))
-            for row in contradiction:
-                rows.insert(rng.randint(0, len(rows)), row)
+        for rows, num_vars in degenerate_contradiction_systems():
             assert feasible_point(rows, num_vars) is None
         assert [accepted for _, accepted in certificates] == [True] * 400
+
+
+@pytest.mark.parametrize(
+    "systems",
+    [
+        planted_systems,
+        contradiction_systems,
+        fraction_planted_systems,
+        fraction_contradiction_systems,
+        degenerate_systems,
+        degenerate_contradiction_systems,
+    ],
+)
+def test_condensed_tableau_takes_the_full_tableaus_pivots(monkeypatch, systems):
+    # the tableau stores only the nonbasic columns; the full one with a
+    # column per slack must give the same point, or hand `refutes` the
+    # same multipliers
+    certificates = record_refutes(monkeypatch)
+    for rows, num_vars in systems():
+        certificates.clear()
+        point = feasible_point(rows, num_vars)
+        want_point, want_y = full_tableau_point(rows, num_vars)
+        assert point == want_point
+        assert [y for y, _ in certificates] == ([] if want_y is None else [want_y])
