@@ -169,18 +169,16 @@ def scan_walk_masks(params, up, down, decision):
     return out
 
 
-def boundary_rows(params, up, down, pos, require_weight=True):
+def boundary_rows(params, up, down, pos):
     """The LP rows ``is_representable`` poses for the labeling ``pos``,
     by a scan over every word: None when the labeling is not an up-set
-    (some P word has an N word above it) or fails the weight flag (the
-    full word is N), else one row per minimal P word (no other P word
-    below; the zero word skipped) and then one per maximal N word (no
-    other N word above), each in ascending mask order.  ``up`` and
-    ``down`` are closure masks as `leq_table` returns them."""
+    (some P word has an N word above it), else one row per minimal P
+    word (no other P word below; the zero word skipped) and then one per
+    maximal N word (no other N word above), each in ascending mask
+    order.  With the weight flag no LP runs unless the full word is P.
+    ``up`` and ``down`` are closure masks as `leq_table` returns them."""
     n, r = params.n, params.r
     if any(up[m] & ~pos for m in range(1 << n) if pos >> m & 1):
-        return None
-    if require_weight and not pos >> ((1 << n) - 1) & 1:
         return None
     low = (1 << r) - 1
 
