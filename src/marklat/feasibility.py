@@ -2,8 +2,10 @@
 
 A system is a list of rows ``(coeffs, bound)`` meaning
 ``coeffs . x <= bound`` over ``num_vars`` nonnegative rational
-variables; every coefficient and bound is an int or a Fraction, and
-anything else raises `TypeError`.  ``feasible_point`` either returns one
+variables; every coefficient and bound is an int, and anything else,
+a Fraction or a bool included, raises `TypeError`: scale a rational row
+by the common multiple of its own denominators first, which changes no
+sign the rule below reads.  ``feasible_point`` either returns one
 exact solution ``x >= 0`` or proves there is none.  There is no
 objective, so the decision runs the least-index criss-cross rule
 (Terlaky 1985; Fukuda and Terlaky, Math. Programming 79, 1997) straight
@@ -22,11 +24,9 @@ on a stuck row.
 The tableau is condensed, as in the dictionaries of Avis's ``lrs``: row
 ``i`` holds only the ``num_vars`` nonbasic columns and the right hand
 side, each column labelled with its variable, and the basic columns,
-a multiple of the identity, are left implicit.  It holds only integers.
-One common multiple ``L`` of every denominator clears the fractions:
-row ``i`` starts as ``[A_i L | b_i L]`` with slack ``i`` basic.  That
-rescales whole columns by positive factors, so no sign the rule reads
-changes.  Pivots are fraction-free (Edmonds, Bareiss): the true
+a multiple of the identity, are left implicit.  It holds only integers:
+row ``i`` starts as ``[A_i | b_i]`` with slack ``i`` basic.  Pivots are
+fraction-free (Edmonds, Bareiss): the true
 tableau is ``T / D`` for one divisor ``D > 0``, starting at 1.  A pivot
 on row ``r`` and column ``c`` with element ``-q < 0`` updates every
 other row to ``(q T_i + T_i[c] T_r) // D``, negates the pivot row and
@@ -53,25 +53,27 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Optional, Sequence
 
 __all__ = ["feasible_point", "refutes", "satisfies"]
 
 
-def _exact(value):
-    """Ints stay ints; every other number becomes an exact Fraction."""
-    return value if type(value) is int else Fraction(value)
+def _cleared(vector):
+    """``(scale, ints)`` with ``ints = scale * vector``: the smallest
+    positive integer scale that clears the vector's denominators."""
+    vector = [v if type(v) is int else Fraction(v) for v in vector]
+    scale = lcm(*(v.denominator for v in vector))
+    return scale, [v.numerator * (scale // v.denominator) for v in vector]
 
 
 def satisfies(rows: Sequence, point: Sequence) -> bool:
-    """Exact check that the point is nonnegative and meets every row."""
-    point = [_exact(v) for v in point]
-    if any(v < 0 for v in point):
+    """Exact check that the point is nonnegative and meets every row, each as long as the point."""
+    scale, ints = _cleared(point)
+    if any(v < 0 for v in ints):
         return False
-    scale = lcm(*{v.denominator for v in point})
-    ints = [v.numerator * (scale // v.denominator) for v in point]
     return all(
-        sum(_exact(c) * v for c, v in zip(coeffs, ints)) <= _exact(bound) * scale
+        len(coeffs) == len(ints) and sum(map(mul, coeffs, ints)) <= bound * scale
         for coeffs, bound in rows
     )
 
@@ -83,16 +85,16 @@ def refutes(rows: Sequence, y: Sequence) -> bool:
     variable and ``sum_i y_i bound_i < 0``, any point ``x >= 0``
     satisfying every row would give ``0 <= sum_i y_i bound_i < 0``.
     """
-    y = [_exact(v) for v in y]
-    if len(y) != len(rows) or any(v < 0 for v in y):
+    _, ints = _cleared(y)
+    if len(ints) != len(rows) or any(v < 0 for v in ints):
         return False
     combined = [0] * max((len(coeffs) for coeffs, _ in rows), default=0)
     total = 0
-    for v, (coeffs, bound) in zip(y, rows):
+    for v, (coeffs, bound) in zip(ints, rows):
         if v:
             for k, c in enumerate(coeffs):
-                combined[k] += v * _exact(c)
-            total += v * _exact(bound)
+                combined[k] += v * c
+            total += v * bound
     return total < 0 and all(c >= 0 for c in combined)
 
 
@@ -101,22 +103,17 @@ def feasible_point(rows: Sequence, num_vars: int) -> Optional[list]:
     None.  The returned point is deterministic for a given system."""
     if num_vars < 0:
         raise ValueError(f"num_vars must be nonnegative, got {num_vars}")
-    denominators = set()
+    # columns: the nonbasic variables cols[j], then the right hand side;
+    # basis[i] is row i's basic variable, and every slack starts basic
+    tableau = []
     for coeffs, bound in rows:
         if len(coeffs) != num_vars:
             raise ValueError(f"row has {len(coeffs)} coefficients, expected {num_vars}")
-        for v in (*coeffs, bound):
-            if not isinstance(v, (int, Fraction)):
-                raise TypeError(f"coefficients and bounds must be ints or Fractions, got {v!r}")
-            denominators.add(v.denominator)
-    scale = lcm(*denominators)
-
-    # columns: the nonbasic variables cols[j], then the right hand side;
-    # basis[i] is row i's basic variable, and every slack starts basic
-    tableau = [
-        [v.numerator * (scale // v.denominator) for v in (*coeffs, bound)]
-        for coeffs, bound in rows
-    ]
+        t = [*coeffs, bound]
+        for v in t:
+            if type(v) is not int:
+                raise TypeError(f"coefficients and bounds must be ints, got {v!r}")
+        tableau.append(t)
     cols = list(range(num_vars))
     basis = list(range(num_vars, num_vars + len(rows)))
     divisor = 1

@@ -203,6 +203,8 @@ def nr_function_from_json(data: dict) -> NrFunction:
         raise ValidationError(f"valuation JSON lacks keys: {', '.join(missing)}")
     if type(data["n"]) is not int or type(data["r"]) is not int:
         raise ValidationError("n and r must be integers")
+    if type(data["tilde"]) is not list or type(data["bar"]) is not list:
+        raise ValidationError("tilde and bar must be arrays")
     params = LatticeParams(data["n"], data["r"])
     return validate(params, data["tilde"], data["bar"], data.get("zero", 0))
 

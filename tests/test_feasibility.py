@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -7,6 +8,18 @@ from marklat import feasibility
 from marklat.feasibility import feasible_point, refutes, satisfies
 
 from helpers import SEED, full_tableau_point
+
+
+def integer_rows(rows):
+    """The rows of a rational system, each scaled by the common
+    multiple of its own denominators."""
+    scaled = []
+    for coeffs, bound in rows:
+        entries = [F(v) for v in (*coeffs, bound)]
+        scale = lcm(*(v.denominator for v in entries))
+        ints = [int(v * scale) for v in entries]
+        scaled.append((tuple(ints[:-1]), ints[-1]))
+    return scaled
 
 
 def check(rows, num_vars):
@@ -23,7 +36,7 @@ class TestSmallSystems:
         assert feasible_point([], 2) == [0, 0]
 
     def test_pinned_value(self):
-        point = check([((1,), F(3)), ((-1,), F(-3))], 1)
+        point = check([((1,), 3), ((-1,), -3)], 1)
         assert point == [3]
 
     def test_simple_infeasible(self):
@@ -59,7 +72,7 @@ class TestSmallSystems:
         assert y[0] > 0 and y == [y[0]] * 3
 
     def test_fractional_data(self):
-        point = check([((F(1, 3),), F(1, 2)), ((-1,), F(-3, 2))], 1)
+        point = check(integer_rows([((F(1, 3),), F(1, 2)), ((-1,), F(-3, 2))]), 1)
         assert F(3, 2) <= point[0] <= F(3, 2)
 
     def test_unbounded_direction_still_yields_point(self):
@@ -71,12 +84,12 @@ class TestSmallSystems:
         # python -O would strip
         monkeypatch.setattr(feasibility, "satisfies", lambda rows, point: False)
         with pytest.raises(RuntimeError):
-            feasible_point([((1,), F(3))], 1)
+            feasible_point([((1,), 3)], 1)
 
 
     def test_odd_minors_need_the_divisor_to_start_at_one(self):
-        # cleared by L = 2 the rows are (1, 1) and (1, 2), whose 2x2 minor
-        # is 1: a first divisor of L instead of 1 divides inexactly
+        # scaled row by row the rows are (1, 1) and (1, 2), whose 2x2
+        # minor is 1: a first divisor of 2, their scale, divides inexactly
         half = F(1, 2)
         rows = [
             ((half, half), 1),
@@ -84,7 +97,7 @@ class TestSmallSystems:
             ((half, 1), F(3, 2)),
             ((-half, -1), F(-3, 2)),
         ]
-        assert check(rows, 2) == [1, 1]
+        assert check(integer_rows(rows), 2) == [1, 1]
 
     def test_refutes_checks_farkas_multipliers(self):
         # x <= 0 and -x <= -1: adding the rows gives 0 <= -1
@@ -105,6 +118,9 @@ class TestSmallSystems:
         assert feasible_point([((1,), -1)], 1) is None
         assert refutes([((1,), -1)], (1,))
         assert not satisfies([], [F(-1)])
+        # a point of the wrong length meets no row
+        assert not satisfies([((1, 1), 0)], [F(0)])
+        assert not satisfies([((1,), 0)], [F(0), F(0)])
 
     def test_refutation_check_survives_optimization(self, monkeypatch):
         # an infeasible answer is certified by an explicit raise, not an
@@ -125,16 +141,28 @@ class TestRowsAsGiven:
                 (fraction_row(rng, num_vars), F(rng.randint(-3, 9), rng.randint(1, 4)))
                 for _ in range(rng.randint(1, 6))
             ]
-            expected = feasible_point(rows, num_vars)
+            expected = feasible_point(integer_rows(rows), num_vars)
             padded = list(rows)
             for _ in range(rng.randint(1, 3)):
                 zero = ((0,) * num_vars, F(rng.randint(0, 5), rng.randint(1, 7)))
                 padded.insert(rng.randint(0, len(padded)), zero)
-            assert feasible_point(padded, num_vars) == expected
+            assert feasible_point(integer_rows(padded), num_vars) == expected
+
+    def test_positive_row_multiples_leave_the_answer_unchanged(self):
+        # a row's scale is the caller's choice: no sign the rule reads
+        # depends on it
+        for systems in (fraction_planted_systems, fraction_contradiction_systems):
+            rng = random.Random(SEED + 8)
+            for rows, num_vars in systems():
+                multiples = []
+                for coeffs, bound in rows:
+                    k = rng.randint(1, 5)
+                    multiples.append((tuple(k * c for c in coeffs), k * bound))
+                assert feasible_point(multiples, num_vars) == feasible_point(rows, num_vars)
 
     def test_negative_zero_row_is_refuted_by_the_tableau(self, monkeypatch):
         certificates = record_refutes(monkeypatch)
-        rows = [((1, 0), 4), ((0, 0), F(-1, 3)), ((-1, -1), -1)]
+        rows = integer_rows([((1, 0), 4), ((0, 0), F(-1, 3)), ((-1, -1), -1)])
         assert feasible_point(rows, 2) is None
         # the zero row is the stuck row, so its slack entries select
         # only itself
@@ -145,10 +173,10 @@ class TestRowsAsGiven:
         assert feasible_point([((0,), -1)], 1) is None
         assert [accepted for _, accepted in certificates] == [True]
 
-    @pytest.mark.parametrize("bad", [0.5, "1", None])
+    @pytest.mark.parametrize("bad", [0.5, "1", None, F(1, 2), F(3), True])
     def test_rejects_non_exact_entries(self, bad):
-        # a float used to be converted silently: x <= 1 with coefficient
-        # 0.5 came back as [0]
+        # rows are ints only, not bools; a float used to be converted
+        # silently: x <= 1 with coefficient 0.5 came back as [0]
         with pytest.raises(TypeError):
             feasible_point([((bad,), 1)], 1)
         with pytest.raises(TypeError):
@@ -173,7 +201,8 @@ def fraction_row(rng, num_vars):
 
 
 def planted_systems():
-    """Integer rows all met by a planted nonnegative point."""
+    """Integer coefficients and rational bounds, all met by a planted
+    nonnegative point, posed as integer rows."""
     rng = random.Random(SEED)
     for trial in range(200):
         num_vars = rng.randint(1, 5)
@@ -184,7 +213,7 @@ def planted_systems():
             slack = F(rng.randint(0, 5), rng.randint(1, 3))
             bound = sum(c * v for c, v in zip(coeffs, planted)) + slack
             rows.append((coeffs, bound))
-        yield rows, num_vars
+        yield integer_rows(rows), num_vars
 
 
 def contradiction_systems():
@@ -202,11 +231,12 @@ def contradiction_systems():
             (tuple(rng.randint(-2, 2) for _ in range(num_vars)), F(rng.randint(0, 9)))
             for _ in range(rng.randint(0, 4))
         ]
-        yield rows + extra, num_vars
+        yield integer_rows(rows + extra), num_vars
 
 
 def fraction_planted_systems():
-    """Fraction rows all met by a planted nonnegative point."""
+    """Fraction rows all met by a planted nonnegative point, posed as
+    integer rows."""
     rng = random.Random(SEED + 3)
     for trial in range(200):
         num_vars = rng.randint(1, 5)
@@ -217,11 +247,12 @@ def fraction_planted_systems():
             slack = F(rng.randint(0, 5), rng.randint(1, 4))
             bound = sum(c * v for c, v in zip(coeffs, planted)) + slack
             rows.append((coeffs, bound))
-        yield rows, num_vars
+        yield integer_rows(rows), num_vars
 
 
 def fraction_contradiction_systems():
-    """Fraction rows holding ``c x <= b`` and ``-c x <= -b - gap``."""
+    """Fraction rows holding ``c x <= b`` and ``-c x <= -b - gap``,
+    posed as integer rows."""
     rng = random.Random(SEED + 4)
     for trial in range(100):
         num_vars = rng.randint(1, 4)
@@ -235,7 +266,7 @@ def fraction_contradiction_systems():
             (fraction_row(rng, num_vars), F(rng.randint(0, 9), rng.randint(1, 4)))
             for _ in range(rng.randint(0, 4))
         ]
-        yield rows + extra, num_vars
+        yield integer_rows(rows + extra), num_vars
 
 
 class TestRandomized:
@@ -264,7 +295,7 @@ class TestRandomized:
     def test_deterministic(self):
         rng = random.Random(SEED + 2)
         rows = [
-            (tuple(rng.randint(-3, 3) for _ in range(4)), F(rng.randint(-2, 8)))
+            (tuple(rng.randint(-3, 3) for _ in range(4)), rng.randint(-2, 8))
             for _ in range(12)
         ]
         first = feasible_point(rows, 4)

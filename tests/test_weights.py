@@ -201,6 +201,9 @@ class TestJsonAndFiles:
             {"n": "3", "r": 1, "tilde": [1], "bar": [-1, -1]},
             {"n": 3, "r": 1, "tilde": [1.5], "bar": [-1, -1]},
             {"n": 3, "r": 1, "tilde": [1], "bar": [-1]},
+            # a string or an object would be read entry by entry
+            {"n": 3, "r": 2, "tilde": "12", "bar": ["-1"]},
+            {"n": 3, "r": 2, "tilde": {"1": 0, "2": 0}, "bar": ["-1"]},
         ],
     )
     def test_rejects_malformed_documents(self, doc):
