@@ -22,10 +22,10 @@ d-mark slice) over all weighted labelings (gamma_tilde) or over the
 representable ones (gamma).
 
 One walk over the weighted labelings, an explicit-stack search over
-those masks, sits behind ``enumerate_wbm``; one sweep over
-``enumerate_wbm`` serves every minimum and the report.  The report
-visits every labeling; a minimum cuts the subtrees that cannot beat
-the best labeling found so far.
+those masks, sits behind ``enumerate_wbm``; every minimum and the
+report fold that walk in a loop of their own.  The report visits every
+labeling; a minimum hands the walk an incumbent, so the walk cuts the
+subtrees that cannot beat the best labeling found so far.
 
 These notions degenerate when no negative mark exists (r = n): the
 negative witness word is missing, so enumeration yields nothing there
@@ -239,7 +239,7 @@ def _tables(params: LatticeParams):
 
 class _Incumbent:
     """The size of a minimum's best labeling so far, on a slice mask: the
-    sweep lowers ``size`` and the walk cuts every state whose P-region
+    minimum lowers ``size`` and the walk cuts every state whose P-region
     already holds ``size`` words of ``slice``."""
 
     __slots__ = ("slice", "size")
@@ -263,7 +263,7 @@ def enumerate_wbm(
     ``cap`` labelings would be produced.  At r = n the conditions are
     unspecified (no negative mark), so nothing is yielded.
 
-    ``_incumbent`` is the extremal sweep's own: with it, only the
+    ``_incumbent`` is an extremal minimum's own: with it, only the
     labelings smaller than its current size on its slice are yielded and
     counted against ``cap``.
     """
@@ -415,72 +415,52 @@ class ExtremalResult:
     witness: Optional[NrFunction] = None
 
 
-def _check_extremal_params(params: LatticeParams, d: Optional[int]):
+def _slice_mask(params: LatticeParams, d: Optional[int]) -> int:
+    """Labeling mask of the words a minimum counts: those on d marks, or
+    all words when d is None.  Checks that the extremal numbers are
+    specified for r and d."""
     if not 1 <= params.r <= params.n - 1:
         raise DomainError(
             f"extremal numbers are unspecified outside 1 <= r <= n-1, got {params}"
         )
-    if d is not None and not 1 <= d <= params.n:
+    if d is None:
+        return (1 << (1 << params.n)) - 1
+    if not 1 <= d <= params.n:
         raise DomainError(f"need 1 <= d <= n, got d={d} for {params}")
-
-
-def _sweep(params, d, cap, n_guard, representable, census=False, collect=False):
-    """The one pass behind every extremal number and the report.
-
-    Sizes each weighted labeling's P-region on the d-mark slice (all
-    words when d is None) and returns ``(wb, rwb, tilde, best, witness,
-    bad)``: the labeling count, the representable count, the first
-    ``(size, map)`` minimum over all labelings and over the representable
-    ones, the valuation inducing the latter, and the non-representable
-    maps when ``collect`` is set.  Without ``representable`` no LP runs
-    and only ``wb`` and ``tilde`` are filled in.
-
-    With ``census`` every labeling is visited, as the report needs.
-    Otherwise the sweep is a branch and bound for its one minimum
-    (``best``, or ``tilde`` without ``representable``): the walk cuts
-    each subtree whose forced P-words reach the incumbent's size, so
-    only strictly smaller labelings are yielded and given an LP.  The
-    walk order is unchanged, so the first minimizer and its witness are
-    the census's; ``wb``, ``rwb`` and ``cap`` count only the labelings
-    reached.  Over all words (d is None) a minimum also stops at its
-    floor: every weighted labeling holds one word of each complement
-    pair and both the zero and the full word, so 2^(n-1) + 1 P-words,
-    and once the incumbent has that size no later labeling is smaller.
-    """
-    _check_extremal_params(params, d)
-    slice_mask = (1 << (1 << params.n)) - 1 if d is None else _d_slice(params.n, d)
-    incumbent = None if census else _Incumbent(slice_mask)
-    floor = (1 << (params.n - 1)) + 1 if d is None else None
-    wb = rwb = 0
-    tilde = best = witness = None
-    bad = []
-    for bmap in enumerate_wbm(params, cap=cap, n_guard=n_guard, _incumbent=incumbent):
-        size = (bmap.mask & slice_mask).bit_count()
-        wb += 1
-        if tilde is None or size < tilde[0]:
-            tilde = (size, bmap)
-        if representable:
-            res = is_representable(bmap)
-            if res.representable:
-                rwb += 1
-                if best is None or size < best[0]:
-                    best, witness = (size, bmap), res.witness
-            elif collect:
-                bad.append(bmap)
-        found = best if representable else tilde
-        if incumbent is not None and found is not None:
-            incumbent.size = found[0]
-            if found[0] == floor:
-                break
-    return wb, rwb, tilde, best, witness, bad
+    return _d_slice(params.n, d)
 
 
 def _minimum(params, d, representable, cap, n_guard) -> ExtremalResult:
-    _, _, tilde, best, witness, _ = _sweep(params, d, cap, n_guard, representable)
-    found = best if representable else tilde
+    """The least P-region size on the d-mark slice (all words when d is
+    None) over the weighted labelings, or over the representable ones.
+
+    A branch and bound over the labeling walk: the walk cuts each
+    subtree whose forced P-words reach the incumbent's size, so every
+    labeling it yields is strictly smaller than the best so far, and
+    only those get an LP.  The walk order is that of a full census, so
+    the minimizer and its witness are the census's first; ``cap``
+    counts only the labelings reached.  Over all words a minimum also
+    stops at its floor: every weighted labeling holds one word of each
+    complement pair and both the zero and the full word, so 2^(n-1) + 1
+    P-words, and once the incumbent has that size no later labeling is
+    smaller.
+    """
+    incumbent = _Incumbent(_slice_mask(params, d))
+    floor = (1 << (params.n - 1)) + 1 if d is None else None
+    found = witness = None
+    for bmap in enumerate_wbm(params, cap=cap, n_guard=n_guard, _incumbent=incumbent):
+        if representable:
+            res = is_representable(bmap)
+            if not res.representable:
+                continue
+            witness = res.witness
+        found = bmap
+        incumbent.size = (bmap.mask & incumbent.slice).bit_count()
+        if incumbent.size == floor:
+            break
     if found is None:
         raise DomainError(f"no admissible labeling exists for {params}")
-    return ExtremalResult(found[0], found[1], witness)
+    return ExtremalResult(incumbent.size, found, witness)
 
 
 def gamma_tilde(params, *, cap=DEFAULT_CAP, n_guard=DEFAULT_N_GUARD) -> ExtremalResult:
@@ -539,7 +519,7 @@ def psi(n: int, d: int, *, cap=DEFAULT_CAP, n_guard=DEFAULT_N_GUARD) -> Extremal
 
 @dataclass(frozen=True)
 class ExtremalReport:
-    """One full sweep over the weighted labelings of a lattice."""
+    """One full pass over the weighted labelings of a lattice."""
 
     params: LatticeParams
     d: Optional[int]
@@ -563,17 +543,28 @@ def wb_vs_rwb_report(
 ) -> ExtremalReport:
     """Enumerate every weighted labeling once, recording representability,
     both extremal minima, and (optionally) each non-representable map."""
-    wb, rwb, tilde, best, witness, bad = _sweep(
-        params, d, cap, n_guard, True, census=True, collect=collect_non_representable
-    )
-    best_tilde = None if tilde is None else tilde[0]
-    best_gamma, minimizer = (None, None) if best is None else best
+    slice_mask = _slice_mask(params, d)
+    wb = rwb = 0
+    best_tilde = best_gamma = minimizer = witness = None
+    bad = [] if collect_non_representable else None
+    for bmap in enumerate_wbm(params, cap=cap, n_guard=n_guard):
+        size = (bmap.mask & slice_mask).bit_count()
+        wb += 1
+        if best_tilde is None or size < best_tilde:
+            best_tilde = size
+        res = is_representable(bmap)
+        if res.representable:
+            rwb += 1
+            if best_gamma is None or size < best_gamma:
+                best_gamma, minimizer, witness = size, bmap, res.witness
+        elif bad is not None:
+            bad.append(bmap)
     if wb == rwb and best_tilde != best_gamma:
         raise RuntimeError(
             "consistency violated: every labeling is representable but the "
             f"two minima differ ({best_tilde} vs {best_gamma}) on {params}"
         )
-    bad = tuple(bad) if collect_non_representable else None
+    bad = None if bad is None else tuple(bad)
     return ExtremalReport(params, d, wb, rwb, best_tilde, best_gamma, minimizer, witness, bad)
 
 

@@ -118,8 +118,10 @@ class NrFunction:
 
 
 def _as_fraction(value, what: str) -> Fraction:
-    if isinstance(value, float):
-        raise ValidationError(f"{what} must be exact (int, string or Fraction), got float")
+    if isinstance(value, (bool, float)):
+        raise ValidationError(
+            f"{what} must be exact (int, string or Fraction), got {type(value).__name__}"
+        )
     try:
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:

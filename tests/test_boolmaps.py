@@ -68,6 +68,11 @@ def unpruned_census(params):
     return [(m, is_representable(m)) for m in enumerate_wbm(params)]
 
 
+def slice_size(m, d):
+    """P-words of a labeling on the d-mark slice, or all of them."""
+    return m.p_count if d is None else m.p_count_d(d)
+
+
 def first_minimum(census, d, representable):
     """The first minimum in walk order over an unpruned census, over
     every labeling or only the representable ones."""
@@ -75,7 +80,7 @@ def first_minimum(census, d, representable):
     for m, res in census:
         if representable and not res.representable:
             continue
-        size = m.p_count if d is None else m.p_count_d(d)
+        size = slice_size(m, d)
         if found is None or size < found.value:
             found = ExtremalResult(size, m, res.witness if representable else None)
     return found
@@ -459,7 +464,19 @@ class TestGamma:
                         tilde, exact = gamma_tilde_d(p, d), gamma_d(p, d)
                     assert tilde == first_minimum(census, d, False)
                     assert exact == first_minimum(census, d, True)
-                    assert wb_vs_rwb_report(p, d).minimizer == exact.minimizer
+                    # the report, field by field, against a fold of the census
+                    bad = tuple(m for m, res in census if not res.representable)
+                    report = wb_vs_rwb_report(p, d)
+                    assert report.wb_count == len(census)
+                    assert report.rwb_count == len(census) - len(bad)
+                    assert report.gamma_tilde == min(slice_size(m, d) for m, _ in census)
+                    assert report.gamma == exact.value
+                    assert report.minimizer == exact.minimizer
+                    assert report.witness == exact.witness
+                    assert report.non_representable == bad
+                    quiet = wb_vs_rwb_report(p, d, collect_non_representable=False)
+                    assert quiet.non_representable is None
+                    assert dataclasses.replace(quiet, non_representable=bad) == report
 
     def test_cap_counts_the_labelings_the_pruned_walk_reaches(self):
         # L(4, 2) has 8 weighted labelings and its minimum is the first
@@ -505,6 +522,39 @@ class TestGamma:
         monkeypatch.setattr(boolmaps, "enumerate_wbm", recording)
         assert gamma_tilde(LatticeParams(8, 4), n_guard=8).value == 129
         assert walks == [{"yielded": 1, "exhausted": False}]
+
+    def test_the_walk_yields_only_labelings_below_the_best(self, monkeypatch):
+        # each minimum takes every labeling the walk yields that it does
+        # not reject as the new best, with no comparison of its own: so a
+        # yielded labeling must be strictly smaller on the slice than the
+        # last one taken, and a walk that also yielded ties would fail
+        from marklat import boolmaps
+
+        yielded = []
+        real = boolmaps.enumerate_wbm
+
+        def recording(*args, **kwargs):
+            for bmap in real(*args, **kwargs):
+                yielded.append(bmap)
+                yield bmap
+
+        monkeypatch.setattr(boolmaps, "enumerate_wbm", recording)
+        for n in (2, 3, 4, 5):
+            for r in range(1, n):
+                p = LatticeParams(n, r)
+                for d in (None, *range(1, n + 1)):
+                    for minimum, representable in (
+                        (gamma_tilde if d is None else gamma_tilde_d, False),
+                        (gamma if d is None else gamma_d, True),
+                    ):
+                        yielded.clear()
+                        found = minimum(p) if d is None else minimum(p, d)
+                        best = None
+                        for m in yielded:
+                            assert best is None or slice_size(m, d) < best
+                            if not representable or is_representable(m).representable:
+                                best = slice_size(m, d)
+                        assert best == found.value
 
     def test_d_out_of_range(self):
         with pytest.raises(DomainError):

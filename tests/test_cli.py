@@ -103,6 +103,13 @@ class TestHasse:
         )
         assert code == 2
 
+    def test_unwritable_path(self, capsys, tmp_path):
+        dot = tmp_path / "missing" / "x.dot"
+        code, out, err = run(capsys, "hasse", "--n", "3", "--r", "1", "--dot", str(dot))
+        assert code == 3
+        assert err.startswith("error: ") and "FileNotFoundError" not in err
+        assert not dot.exists()
+
 
 class TestCount:
     def test_stdout_csv(self, capsys):
@@ -117,6 +124,12 @@ class TestCount:
         code, out, err = run(capsys, "count", "--n-max", "2", "--out", str(path))
         assert code == 0
         assert path.read_text().startswith("n,r,k,")
+
+    def test_unwritable_path(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "census.csv"
+        code, out, err = run(capsys, "count", "--n-max", "2", "--out", str(path))
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and "FileNotFoundError" not in err
 
     def test_over_the_cap_writes_nothing(self, capsys, tmp_path):
         # the cap is checked before the header or the --out file is written

@@ -204,6 +204,10 @@ class TestJsonAndFiles:
             # a string or an object would be read entry by entry
             {"n": 3, "r": 2, "tilde": "12", "bar": ["-1"]},
             {"n": 3, "r": 2, "tilde": {"1": 0, "2": 0}, "bar": ["-1"]},
+            # JSON booleans are not integers, though Python reads them as 1 and 0
+            {"n": 2, "r": 1, "tilde": [True], "bar": ["-1"]},
+            {"n": 2, "r": 1, "tilde": ["1"], "bar": [False]},
+            {"n": 2, "r": 1, "tilde": ["1"], "bar": ["-1"], "zero": False},
         ],
     )
     def test_rejects_malformed_documents(self, doc):
