@@ -42,7 +42,7 @@ from typing import Iterator, Optional
 
 from . import hasse
 # enumerate_words is looked up here by bench/spans.py, which traces it
-from .core import LatticeParams, Word, enumerate_words  # noqa: F401
+from .core import LatticeParams, Word, _check_d, enumerate_words  # noqa: F401
 from .errors import DomainError, ResourceLimitError
 from .feasibility import feasible_point
 from .weights import NrFunction, induced_map
@@ -127,8 +127,7 @@ class BooleanMap:
         return self.mask.bit_count()
 
     def p_count_d(self, d: int) -> int:
-        if not 1 <= d <= self.params.n:
-            raise DomainError(f"need 1 <= d <= n, got d={d} for {self.params}")
+        _check_d(d, self.params.n)
         return (self.mask & _d_slice(self.params.n, d)).bit_count()
 
 
@@ -286,34 +285,18 @@ def _enumerate_wbm(params, cap, incumbent) -> Iterator[BooleanMap]:
     for k in range(full, -1, -1):
         rest[k] = rest[k + 1] | 1 << decision[k]
 
-    def set_p(pos, neg, i):
-        pos |= up[i]
-        if pos & neg:
-            return None
-        return pos, neg
-
-    def set_n(pos, neg, i):
-        # complement reverses the order, so the complements of the words
-        # below i are exactly the words above i's complement
-        neg |= down[i]
-        pos |= up[i ^ full]
-        if pos & neg:
-            return None
-        return pos, neg
-
-    # the zero word is P, the negative unit N and the full word P
-    state = set_p(0, 0, 0)
-    if state is not None:
-        state = set_n(*state, 1 << params.r)
-    if state is not None:
-        state = set_p(*state, full)
-    if state is None:
+    # the zero word is P, the negative unit N and the full word P.  Masks
+    # only grow, so one conflict test after the unions finds every conflict
+    unit = 1 << params.r
+    pos = up[0] | up[full] | up[unit ^ full]
+    neg = down[unit]
+    if pos & neg:
         return
 
     emitted = 0
     # pending branches sit on an explicit stack, not the call stack, so
     # the lattice's depth never meets the recursion limit
-    stack = [(*state, 0)]
+    stack = [(pos, neg, 0)]
     while stack:
         pos, neg, at = stack.pop()
         # pos only grows down the tree: no leaf below holds fewer P-words
@@ -333,9 +316,15 @@ def _enumerate_wbm(params, cap, incumbent) -> Iterator[BooleanMap]:
             at += 1
         i = decision[at]
         # the P branch goes on the stack first, so the N branch runs first
-        for st in (set_p(pos, neg, i), set_n(pos, neg, i)):
-            if st is not None:
-                stack.append((*st, at + 1))
+        p_pos = pos | up[i]
+        if not p_pos & neg:
+            stack.append((p_pos, neg, at + 1))
+        # complement reverses the order, so the complements of the words
+        # below i are exactly the words above i's complement
+        n_pos = pos | up[i ^ full]
+        n_neg = neg | down[i]
+        if not n_pos & n_neg:
+            stack.append((n_pos, n_neg, at + 1))
 
 
 @dataclass(frozen=True)
@@ -425,8 +414,7 @@ def _slice_mask(params: LatticeParams, d: Optional[int]) -> int:
         )
     if d is None:
         return (1 << (1 << params.n)) - 1
-    if not 1 <= d <= params.n:
-        raise DomainError(f"need 1 <= d <= n, got d={d} for {params}")
+    _check_d(d, params.n)
     return _d_slice(params.n, d)
 
 
@@ -504,8 +492,7 @@ def psi(n: int, d: int, *, cap=DEFAULT_CAP, n_guard=DEFAULT_N_GUARD) -> Extremal
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got n={n}")
-    if not 1 <= d <= n:
-        raise DomainError(f"need 1 <= d <= n, got d={d}")
+    _check_d(d, n)
     best = None
     for r in range(1, n):
         res = gamma_d(LatticeParams(n, r), d, cap=cap, n_guard=n_guard)

@@ -177,10 +177,12 @@ class Word:
     """One lattice element: a subset of the nonzero marks, stored as a
     bit mask, rendered as a canonical string on demand.
 
-    Words are immutable; equality and hashing go by (n, r, mask).
+    The mask is all a word keeps: ``values`` and ``rank`` are derived
+    from it on each call.  Words are immutable; equality and hashing go
+    by (n, r, mask).
     """
 
-    __slots__ = ("params", "mask", "_vals", "_rank", "_hash")
+    __slots__ = ("params", "mask", "_hash")
 
     def __init__(self, params: LatticeParams, mask: int):
         if type(mask) is not int:
@@ -189,48 +191,22 @@ class Word:
             raise DomainError(f"mask {mask:#x} out of range for {params}")
         self.params = params
         self.mask = mask
-        self._vals = None
-        self._rank = None
         self._hash = hash((params.n, params.r, mask))
-
-    @classmethod
-    def _from_vals(cls, params: LatticeParams, vals: tuple) -> "Word":
-        # trusted constructor: vals must already be canonical
-        r = params.r
-        mask = 0
-        for v in vals[:r]:
-            if v:
-                mask |= 1 << (v - 1)
-        for v in vals[r:]:
-            if v:
-                mask |= 1 << (r - v - 1)
-        w = cls(params, mask)
-        w._vals = vals
-        return w
 
     @property
     def values(self) -> tuple:
         """Symbol heights of the canonical string, one per position."""
-        vals = self._vals
-        if vals is None:
-            r = self.params.r
-            m = self.params.num_neg
-            mask = self.mask
-            pos = [i for i in range(r, 0, -1) if mask >> (i - 1) & 1]
-            neg = [-j for j in range(1, m + 1) if mask >> (r + j - 1) & 1]
-            vals = tuple(pos) + (0,) * (r - len(pos) + m - len(neg)) + tuple(neg)
-            self._vals = vals
-        return vals
+        r = self.params.r
+        m = self.params.num_neg
+        mask = self.mask
+        pos = [i for i in range(r, 0, -1) if mask >> (i - 1) & 1]
+        neg = [-j for j in range(1, m + 1) if mask >> (r + j - 1) & 1]
+        return tuple(pos) + (0,) * (r - len(pos) + m - len(neg)) + tuple(neg)
 
     @property
     def rank(self) -> int:
         """Grading: position-wise distance from the bottom word."""
-        rk = self._rank
-        if rk is None:
-            m = self.params.num_neg
-            rk = sum(self.values) + comb(m + 1, 2)
-            self._rank = rk
-        return rk
+        return sum(self.values) + comb(self.params.num_neg + 1, 2)
 
     @property
     def nonzero_count(self) -> int:
@@ -295,6 +271,19 @@ class DeltaVector:
 def _require_same(w1: Word, w2: Word):
     if w1.params != w2.params:
         raise DomainError(f"words from different lattices: {w1.params} vs {w2.params}")
+
+
+def _word_from_values(params: LatticeParams, vals: tuple) -> Word:
+    """The word of canonical symbol heights ``vals``, one per position."""
+    r = params.r
+    mask = 0
+    for v in vals[:r]:
+        if v:
+            mask |= 1 << (v - 1)
+    for v in vals[r:]:
+        if v:
+            mask |= 1 << (r - v - 1)
+    return Word(params, mask)
 
 
 def word_from_subset(params: LatticeParams, symbols: Iterable[Symbol]) -> Word:
@@ -364,7 +353,7 @@ def parse_word(params: LatticeParams, text: str) -> Word:
                 "negative-side digits must be strictly increasing after the zeros"
             )
     vals = tuple(left) + tuple(-v for v in right)
-    return Word._from_vals(params, vals)
+    return _word_from_values(params, vals)
 
 
 def leq(w1: Word, w2: Word) -> bool:
@@ -376,13 +365,13 @@ def leq(w1: Word, w2: Word) -> bool:
 def meet(w1: Word, w2: Word) -> Word:
     """Greatest lower bound: position-wise smaller symbol."""
     _require_same(w1, w2)
-    return Word._from_vals(w1.params, tuple(map(min, w1.values, w2.values)))
+    return _word_from_values(w1.params, tuple(map(min, w1.values, w2.values)))
 
 
 def join(w1: Word, w2: Word) -> Word:
     """Least upper bound: position-wise larger symbol."""
     _require_same(w1, w2)
-    return Word._from_vals(w1.params, tuple(map(max, w1.values, w2.values)))
+    return _word_from_values(w1.params, tuple(map(max, w1.values, w2.values)))
 
 
 def bool_union(w1: Word, w2: Word) -> Word:
@@ -475,10 +464,15 @@ def enumerate_words(params: LatticeParams) -> list:
     return list(hasse.build(params).words())
 
 
+def _check_d(d, n: int) -> None:
+    """A mark count d must be an int with 1 <= d <= n."""
+    if type(d) is not int or not 1 <= d <= n:
+        raise DomainError(f"need an int d with 1 <= d <= n, got d={d!r} for n={n}")
+
+
 def enumerate_d_slice(params: LatticeParams, d: int) -> list:
     """The words using exactly ``d`` nonzero marks, in canonical order."""
-    if not 1 <= d <= params.n:
-        raise DomainError(f"need 1 <= d <= n, got d={d} for {params}")
+    _check_d(d, params.n)
     return list(_d_slice_words(params, d))
 
 

@@ -17,6 +17,7 @@ labeling compares integer sums after clearing denominators.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -40,11 +41,10 @@ __all__ = [
     "load_nr_function",
     "load_f85",
     "random_nr_function",
-    "DEFAULT_SEED",
 ]
 
-# default seed for every randomized pool in the test suite
-DEFAULT_SEED = 1729
+# a value given as a string must match schemas/nr_function.json's pattern
+_RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 
 @dataclass(frozen=True)
@@ -122,6 +122,8 @@ def _as_fraction(value, what: str) -> Fraction:
         raise ValidationError(
             f"{what} must be exact (int, string or Fraction), got {type(value).__name__}"
         )
+    if isinstance(value, str) and not _RATIONAL_TEXT.fullmatch(value):
+        raise ValidationError(f"{what} must be an integer or a fraction like -1/3, got {value!r}")
     try:
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:

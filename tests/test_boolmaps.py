@@ -21,10 +21,17 @@ from marklat.boolmaps import (
     wb_vs_rwb_report,
     _tables,
 )
-from marklat.core import LatticeParams, Word, complement, enumerate_words, parse_word
+from marklat.core import (
+    LatticeParams,
+    Word,
+    complement,
+    enumerate_d_slice,
+    enumerate_words,
+    parse_word,
+)
 from marklat.errors import DomainError, ResourceLimitError
 from marklat.hasse import build
-from marklat.weights import induced_map, random_nr_function, sigma
+from marklat.weights import induced_map, phi_count, random_nr_function, sigma
 
 from helpers import (
     SEED,
@@ -258,10 +265,10 @@ class TestEnumerate:
             enumerate_wbm(LatticeParams(6, 1))
 
     def test_order_matches_the_scanning_walk(self):
-        cases = [(n, r) for n in range(1, 6) for r in range(n)] + [(6, 3)]
+        cases = [(n, r) for n in range(1, 7) for r in range(n)] + [(7, 1), (7, 2), (7, 6)]
         for n, r in cases:
             p = LatticeParams(n, r)
-            got = [m.mask for m in enumerate_wbm(p, n_guard=6)]
+            got = [m.mask for m in enumerate_wbm(p, n_guard=7)]
             assert got == scan_walk_masks(p, *_tables(p))
 
     def test_complement_maps_down_sets_onto_up_sets(self):
@@ -557,10 +564,22 @@ class TestGamma:
                         assert best == found.value
 
     def test_d_out_of_range(self):
-        with pytest.raises(DomainError):
-            gamma_d(LatticeParams(3, 1), 0)
-        with pytest.raises(DomainError):
-            gamma_tilde_d(LatticeParams(3, 1), 4)
+        # d must be an int: 2.0 passed the range test and True counted as 1
+        p = LatticeParams(4, 2)
+        f = random_nr_function(p, random.Random(SEED))
+        entry_points = [
+            lambda d: enumerate_d_slice(p, d),
+            induced_map(f).p_count_d,
+            lambda d: phi_count(f, d),
+            lambda d: gamma_d(p, d),
+            lambda d: gamma_tilde_d(p, d),
+            lambda d: wb_vs_rwb_report(p, d),
+            lambda d: psi(4, d),
+        ]
+        for d in (2.0, True, "2", 0, 5):
+            for call in entry_points:
+                with pytest.raises(DomainError, match="int d"):
+                    call(d)
 
     def test_gamma_equals_min_alpha_over_representable_maps(self):
         # the two routes to the extremal number agree

@@ -208,6 +208,12 @@ class TestJsonAndFiles:
             {"n": 2, "r": 1, "tilde": [True], "bar": ["-1"]},
             {"n": 2, "r": 1, "tilde": ["1"], "bar": [False]},
             {"n": 2, "r": 1, "tilde": ["1"], "bar": ["-1"], "zero": False},
+            # strings Fraction reads but the schema's pattern does not allow
+            {"n": 2, "r": 1, "tilde": ["0.5"], "bar": ["-1"]},
+            {"n": 2, "r": 1, "tilde": ["1e3"], "bar": ["-1"]},
+            {"n": 2, "r": 1, "tilde": [" 3"], "bar": ["-1"]},
+            {"n": 2, "r": 1, "tilde": ["+2"], "bar": ["-1"]},
+            {"n": 2, "r": 1, "tilde": ["1_000"], "bar": ["-1"]},
         ],
     )
     def test_rejects_malformed_documents(self, doc):
