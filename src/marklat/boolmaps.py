@@ -490,8 +490,8 @@ def psi(n: int, d: int, *, cap=DEFAULT_CAP, n_guard=DEFAULT_N_GUARD) -> Extremal
     is the only candidate and no minimizing labeling exists (minimizer is
     None).
     """
-    if n < 1:
-        raise DomainError(f"need n >= 1, got n={n}")
+    if type(n) is not int or n < 1:
+        raise DomainError(f"need an int n >= 1, got n={n!r}")
     _check_d(d, n)
     best = None
     for r in range(1, n):

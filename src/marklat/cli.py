@@ -42,8 +42,7 @@ def cmd_enumerate(args) -> int:
             }
         )
     else:
-        for w in words:
-            print(w)
+        sys.stdout.writelines(f"{w}\n" for w in words)
     return 0
 
 
@@ -52,12 +51,11 @@ def cmd_hasse(args) -> int:
     order = hasse.GenOrder(args.order)
     diagram = hasse.build(params, order)
     with open(args.dot, "w", encoding="utf-8") as fh:
-        fh.write(hasse.to_dot(diagram))
+        hasse.write_dot(diagram, fh)
     print(f"wrote {args.dot}")
     if args.json is not None:
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(hasse.diagram_to_json(diagram), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            hasse.write_json(diagram, fh)
         print(f"wrote {args.json}")
     return 0
 

@@ -15,11 +15,18 @@ each level is the concatenation of the ordered children of the previous
 level, scanned left to right keeping the first occurrence of each word.
 The parent-child pairs recorded along the way are exactly the cover
 pairs of the lattice.
+
+The diagram is exported as Graphviz DOT or as JSON.  Both writers send
+their document to an open text file line by line, from one table of
+quoted word names, and never hold it whole (at n = 14 a DOT file is
+3-5 MB).  ``to_dot`` returns the DOT text and ``diagram_to_json`` the
+JSON document as a dict.
 """
 
 from __future__ import annotations
 
 import enum
+import io
 from bisect import bisect
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,6 +44,8 @@ __all__ = [
     "children",
     "build",
     "split_parts",
+    "write_dot",
+    "write_json",
     "to_dot",
     "diagram_to_json",
 ]
@@ -171,29 +180,67 @@ def split_parts(params: LatticeParams) -> LatticeSplit:
     return LatticeSplit(frozenset(lower), frozenset(upper), shift)
 
 
-def to_dot(diagram: HasseDiagram) -> str:
-    """Render the diagram as deterministic Graphviz source.
+def _quoted_names(diagram: HasseDiagram) -> dict:
+    """Each word's canonical string in double quotes.  The string holds
+    only digits, bars and commas, so the quoted text is at once its DOT
+    identifier and its JSON string."""
+    return {w: f'"{w}"' for w in diagram.words()}
+
+
+def write_dot(diagram: HasseDiagram, fh) -> None:
+    """Write the diagram to the text file ``fh`` as deterministic Graphviz
+    source, one line at a time.
 
     Nodes keep their canonical string forms as quoted identifiers, each
     rank level is pinned with a same-rank group, and invisible edges
     preserve the left-to-right generation order inside a level.
     """
-    ids = {w: f'"{w}"' for w in diagram.words()}
-    lines = [
-        "digraph lattice {",
-        "  rankdir=BT;",
-        "  node [shape=box];",
-    ]
+    ids = _quoted_names(diagram)
+    fh.write("digraph lattice {\n  rankdir=BT;\n  node [shape=box];\n")
     for level in diagram.levels:
         row = [ids[w] for w in level]
         if len(row) == 1:
-            lines.append(f"  {{ rank=same; {row[0]}; }}")
+            fh.write(f"  {{ rank=same; {row[0]}; }}\n")
         else:
-            lines.append(f"  {{ rank=same; {' -> '.join(row)} [style=invis]; }}")
-    for lo, hi in diagram.edges:
-        lines.append(f"  {ids[lo]} -> {ids[hi]};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            fh.write(f"  {{ rank=same; {' -> '.join(row)} [style=invis]; }}\n")
+    fh.writelines(f"  {ids[lo]} -> {ids[hi]};\n" for lo, hi in diagram.edges)
+    fh.write("}\n")
+
+
+def to_dot(diagram: HasseDiagram) -> str:
+    """The text :func:`write_dot` writes."""
+    out = io.StringIO()
+    write_dot(diagram, out)
+    return out.getvalue()
+
+
+def _json_rows(rows):
+    """The text of a list of string lists, each row given as its items
+    already joined, laid out as ``json.dumps(..., indent=2)`` lays out
+    the value of a top-level key."""
+    sep = "[\n    [\n      "
+    for row in rows:
+        yield sep + row
+        sep = "\n    ],\n    [\n      "
+    # json.dumps writes an empty list as []
+    yield "\n    ]\n  ]" if sep[0] == "\n" else "[]"
+
+
+def write_json(diagram: HasseDiagram, fh) -> None:
+    """Write ``json.dumps(diagram_to_json(diagram), indent=2,
+    sort_keys=True)`` and a newline to the text file ``fh``, one line
+    at a time."""
+    names = _quoted_names(diagram)
+    item = ",\n      "
+    fh.write('{\n  "edges": ')
+    fh.writelines(_json_rows(f"{names[lo]}{item}{names[hi]}" for lo, hi in diagram.edges))
+    fh.write(',\n  "levels": ')
+    fh.writelines(_json_rows(item.join([names[w] for w in level]) for level in diagram.levels))
+    n, r = diagram.params.n, diagram.params.r
+    fh.write(
+        f',\n  "order": "{diagram.order.value}",\n'
+        f'  "params": {{\n    "n": {n},\n    "r": {r}\n  }}\n}}\n'
+    )
 
 
 def diagram_to_json(diagram: HasseDiagram) -> dict:

@@ -7,10 +7,12 @@ ranks from breadth-first search over those covers.  Only Word.values is
 trusted (it is itself pinned against hand examples in test_core).
 """
 
+import json
 from fractions import Fraction
 from math import lcm
 
 from marklat.core import Word
+from marklat.hasse import diagram_to_json
 
 SEED = 1729
 
@@ -75,6 +77,33 @@ def bfs_ranks(params):
                     nxt.append(k)
         frontier = nxt
     return {words[i]: d for i, d in dist.items()}
+
+
+def oracle_dot(diagram):
+    """The DOT text of a Hasse diagram, built as one list of lines and
+    joined: the rendering the line-by-line writer must reproduce."""
+    ids = {w: f'"{w}"' for w in diagram.words()}
+    lines = [
+        "digraph lattice {",
+        "  rankdir=BT;",
+        "  node [shape=box];",
+    ]
+    for level in diagram.levels:
+        row = [ids[w] for w in level]
+        if len(row) == 1:
+            lines.append(f"  {{ rank=same; {row[0]}; }}")
+        else:
+            lines.append(f"  {{ rank=same; {' -> '.join(row)} [style=invis]; }}")
+    for lo, hi in diagram.edges:
+        lines.append(f"  {ids[lo]} -> {ids[hi]};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def oracle_json(diagram):
+    """The JSON text of a Hasse diagram as the standard encoder writes
+    its dict form, with a final newline."""
+    return json.dumps(diagram_to_json(diagram), indent=2, sort_keys=True) + "\n"
 
 
 def poly_mul(a, b):

@@ -628,6 +628,18 @@ class TestPsi:
         with pytest.raises(DomainError):
             psi(3, 4)
 
+    def test_bool_n_rejected(self):
+        with pytest.raises(DomainError, match="int n"):
+            psi(True, 1)
+
+    def test_float_n_rejected(self):
+        with pytest.raises(DomainError, match="int n"):
+            psi(2.0, 1)
+
+    def test_str_n_rejected(self):
+        with pytest.raises(DomainError, match="int n"):
+            psi("3", 1)
+
 
 class TestReport:
     def test_counts_and_consistency(self):

@@ -6,7 +6,10 @@ import pytest
 
 from marklat.cli import main
 from marklat.core import LatticeParams, enumerate_words
+from marklat.hasse import build
 from marklat.weights import load_f85, nr_function_to_json
+
+from helpers import oracle_dot, oracle_json
 
 
 def run(capsys, *argv):
@@ -44,9 +47,8 @@ class TestEnumerate:
     def test_plain_lines(self, capsys):
         code, out, err = run(capsys, "enumerate", "--n", "3", "--r", "2")
         assert code == 0
-        lines = out.splitlines()
-        assert lines == [str(w) for w in enumerate_words(LatticeParams(3, 2))]
-        assert len(lines) == 8
+        assert out == "".join(f"{w}\n" for w in enumerate_words(LatticeParams(3, 2)))
+        assert len(out.splitlines()) == 8
 
     def test_json_document(self, capsys):
         jsonschema = pytest.importorskip("jsonschema")
@@ -83,6 +85,18 @@ class TestHasse:
         doc = json.loads(js.read_text())
         jsonschema.validate(doc, load_schema("hasse_diagram.json"))
         assert doc["params"] == {"n": 4, "r": 2}
+
+    def test_files_match_the_whole_text_oracles(self, capsys, tmp_path):
+        dot = tmp_path / "d.dot"
+        js = tmp_path / "d.json"
+        code, out, err = run(
+            capsys, "hasse", "--n", "12", "--r", "6", "--dot", str(dot), "--json", str(js)
+        )
+        assert code == 0
+        assert out == f"wrote {dot}\nwrote {js}\n"
+        d = build(LatticeParams(12, 6))
+        assert dot.read_bytes() == oracle_dot(d).encode()
+        assert js.read_bytes() == oracle_json(d).encode()
 
     def test_order_flag(self, capsys, tmp_path):
         dot = tmp_path / "d.dot"

@@ -1,4 +1,7 @@
+import io
 import json
+import os
+import tracemalloc
 
 import pytest
 
@@ -12,11 +15,15 @@ from marklat.hasse import (
     generating_indexes,
     split_parts,
     to_dot,
+    write_dot,
+    write_json,
 )
 
 from helpers import (
     all_words,
     brute_cover_pairs,
+    oracle_dot,
+    oracle_json,
     ordered_child_vals,
     tuple_levels_and_edges,
 )
@@ -211,6 +218,38 @@ class TestDot:
         assert text.count('" -> "') == len(d.edges) + invis_arrows
         for w in all_words(p):
             assert f'"{w}"' in text
+
+
+class TestWriters:
+    @staticmethod
+    def written(writer, diagram):
+        out = io.StringIO()
+        writer(diagram, out)
+        return out.getvalue()
+
+    def test_match_the_whole_text_oracles(self):
+        # every L(n, r) with n <= 11, L(0,0), L(1,0) and L(1,1) among them
+        for n in range(12):
+            for r in range(n + 1):
+                for order in GenOrder:
+                    d = build(LatticeParams(n, r), order)
+                    assert self.written(write_dot, d) == oracle_dot(d), (n, r, order)
+                    assert self.written(write_json, d) == oracle_json(d), (n, r, order)
+
+    def test_memory_stays_below_the_text(self):
+        # neither writer holds its whole document: the traced peak of
+        # both exports of L(13,6) stays below the length of the DOT text
+        d = build(LatticeParams(13, 6))
+        size = len(to_dot(d))
+        with open(os.devnull, "w", encoding="utf-8") as fh:
+            tracemalloc.start()
+            try:
+                write_dot(d, fh)
+                write_json(d, fh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < size, (peak, size)
 
 
 class TestJson:
