@@ -72,7 +72,6 @@ DEFAULT_CAP = 10_000_000
 DEFAULT_N_GUARD = 5
 
 BASIC_AXIOMS = ("monotone", "zero_word", "negative_unit")
-WEIGHTED_AXIOMS = BASIC_AXIOMS + ("complement_pair", "full_word")
 
 
 @lru_cache(maxsize=64)
@@ -280,10 +279,7 @@ def enumerate_wbm(
 def _enumerate_wbm(params, cap, incumbent) -> Iterator[BooleanMap]:
     up, down, decision = _tables(params)
     full = (1 << params.n) - 1
-    # rest[k]: the labeling mask of decision[k:]
-    rest = [0] * (full + 2)
-    for k in range(full, -1, -1):
-        rest[k] = rest[k + 1] | 1 << decision[k]
+    every = (1 << (full + 1)) - 1
 
     # the zero word is P, the negative unit N and the full word P.  Masks
     # only grow, so one conflict test after the unions finds every conflict
@@ -303,7 +299,10 @@ def _enumerate_wbm(params, cap, incumbent) -> Iterator[BooleanMap]:
         if incumbent is not None and (pos & incumbent.slice).bit_count() >= incumbent.size:
             continue
         decided = pos | neg
-        if not rest[at] & ~decided:
+        # a branch ends once every word is decided; until then an undecided
+        # word lies at or after decision[at], as `at` moves only past
+        # decided words
+        if decided == every:
             if emitted >= cap:
                 raise ResourceLimitError(
                     f"labeling enumeration for {params} exceeded the cap of {cap}",

@@ -127,15 +127,6 @@ class Symbol:
     def is_pos(self) -> bool:
         return self.value > 0
 
-    @property
-    def is_neg(self) -> bool:
-        return self.value < 0
-
-    @property
-    def index(self) -> int:
-        """Mark index within its side (undefined notionally for zero; 0)."""
-        return abs(self.value)
-
     def covers(self, other: "Symbol") -> bool:
         """True when this symbol sits directly above ``other`` in the chain."""
         return self.value == other.value + 1
@@ -313,7 +304,7 @@ def _parse_side(text: str, what: str, expected: int, bound: int) -> list:
         raise ValidationError(f"expected {expected} {what} digits, got {len(digits)}")
     out = []
     for d in digits:
-        if not d.isdigit():
+        if not (d.isascii() and d.isdigit()):
             raise ValidationError(f"{what} digit {d!r} is not a number")
         v = int(d)
         if v > bound:
@@ -325,10 +316,10 @@ def _parse_side(text: str, what: str, expected: int, bound: int) -> list:
 def parse_word(params: LatticeParams, text: str) -> Word:
     """Parse a canonical string form back into a word.
 
-    The grammar matches ``str(word)``: positive digits, a bar, negative
-    digits, with comma-separated digits exactly when a side has 10 or
-    more marks.  Non-canonical strings are rejected with a message naming
-    the violated rule.
+    ``str(word)`` is the one definition of the canonical form: the
+    digits name a subset of the marks, and the string must be exactly
+    that subset's rendering.  Anything else is rejected with a message
+    naming the rule it breaks or the canonical form of its digits.
     """
     if not isinstance(text, str) or text.count("|") != 1:
         raise ValidationError("a word is two digit blocks separated by one '|'")
@@ -336,24 +327,12 @@ def parse_word(params: LatticeParams, text: str) -> Word:
     r, m = params.r, params.num_neg
     left = _parse_side(left_text, "positive-side", r, r)
     right = _parse_side(right_text, "negative-side", m, m)
-    for k in range(1, r):
-        if left[k] > left[k - 1]:
-            raise ValidationError("positive-side digits must not increase")
-        if left[k] == left[k - 1] and left[k] != 0:
-            raise ValidationError(
-                "positive-side digits must be strictly decreasing before the zeros"
-            )
-    for k in range(1, m):
-        if right[k] < right[k - 1]:
-            raise ValidationError(
-                "negative-side digits must be zeros followed by increasing digits"
-            )
-        if right[k] == right[k - 1] and right[k] != 0:
-            raise ValidationError(
-                "negative-side digits must be strictly increasing after the zeros"
-            )
-    vals = tuple(left) + tuple(-v for v in right)
-    return _word_from_values(params, vals)
+    word = _word_from_values(params, tuple(left) + tuple(-v for v in right))
+    if str(word) != text:
+        raise ValidationError(
+            f"{text!r} is not canonical in {params}: its marks are written {str(word)!r}"
+        )
+    return word
 
 
 def leq(w1: Word, w2: Word) -> bool:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .core import LatticeParams
 from .errors import DomainError, ResourceLimitError
 
 __all__ = [
@@ -38,15 +37,17 @@ BRUTE_FORCE_MAX_N = 20
 
 
 def total_rank(n: int, r: int) -> int:
+    """Rank of the top word of L(n, r), checked as LatticeParams checks
+    (n, r) but without building one."""
+    if type(n) is not int or type(r) is not int or not 0 <= r <= n:
+        raise DomainError(f"need ints 0 <= r <= n, got n={n!r}, r={r!r}")
     return comb(r + 1, 2) + comb(n - r + 1, 2)
 
 
 def _check_args(n: int, r: int, k: int):
-    params = LatticeParams(n, r)  # validates 0 <= r <= n
-    if not 0 <= k <= params.total_rank:
-        raise DomainError(
-            f"rank {k} out of range 0..{params.total_rank} for {params}"
-        )
+    top = total_rank(n, r)
+    if type(k) is not int or not 0 <= k <= top:
+        raise DomainError(f"need an int rank k in 0..{top} for L({n}, {r}), got k={k!r}")
 
 
 @lru_cache(maxsize=None)
@@ -122,8 +123,7 @@ class RankPolynomial:
 
 
 def rank_polynomial(n: int, r: int) -> RankPolynomial:
-    params = LatticeParams(n, r)
-    coeffs = tuple(_s(n, r, k) for k in range(params.total_rank + 1))
+    coeffs = tuple(_s(n, r, k) for k in range(total_rank(n, r) + 1))
     return RankPolynomial(n, r, coeffs)
 
 
@@ -134,9 +134,10 @@ def check_symmetry(n: int, r: int) -> bool:
 
 
 def check_census_n_max(n_max: int) -> None:
-    """Raise unless 0 <= n_max <= BRUTE_FORCE_MAX_N, the census range."""
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    """Raise unless n_max is an int with 0 <= n_max <= BRUTE_FORCE_MAX_N,
+    the census range."""
+    if type(n_max) is not int or n_max < 0:
+        raise DomainError(f"n_max must be an int >= 0, got {n_max!r}")
     if n_max > BRUTE_FORCE_MAX_N:
         raise ResourceLimitError(f"the census is capped at n <= {BRUTE_FORCE_MAX_N}, got {n_max}")
 

@@ -45,6 +45,11 @@ __all__ = [
 
 # a value given as a string must match schemas/nr_function.json's pattern
 _RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+# the keys schemas/nr_function.json allows
+_JSON_KEYS = ("n", "r", "tilde", "bar", "zero")
+# bounds of the numerators and denominators random_nr_function draws
+_MAX_NUMERATOR = 6
+_MAX_DENOMINATOR = 4
 
 
 @dataclass(frozen=True)
@@ -205,6 +210,9 @@ def nr_function_from_json(data: dict) -> NrFunction:
     missing = [k for k in ("n", "r", "tilde", "bar") if k not in data]
     if missing:
         raise ValidationError(f"valuation JSON lacks keys: {', '.join(missing)}")
+    unknown = [str(k) for k in data if k not in _JSON_KEYS]
+    if unknown:
+        raise ValidationError(f"valuation JSON has unknown keys: {', '.join(unknown)}")
     if type(data["n"]) is not int or type(data["r"]) is not int:
         raise ValidationError("n and r must be integers")
     if type(data["tilde"]) is not list or type(data["bar"]) is not list:
@@ -236,8 +244,6 @@ def random_nr_function(
     params: LatticeParams,
     rng,
     require_weight: bool = False,
-    max_numerator: int = 6,
-    max_denominator: int = 4,
 ) -> NrFunction:
     """Draw an admissible valuation with bounded random numerators and
     denominators.  Each side is sorted into chain order; under
@@ -249,12 +255,12 @@ def random_nr_function(
             "no weight valuation exists when every mark is negative"
         )
     pos = sorted(
-        Fraction(rng.randint(0, max_numerator), rng.randint(1, max_denominator))
+        Fraction(rng.randint(0, _MAX_NUMERATOR), rng.randint(1, _MAX_DENOMINATOR))
         for _ in range(r)
     )
     neg = sorted(
         (
-            Fraction(-rng.randint(1, max_numerator), rng.randint(1, max_denominator))
+            Fraction(-rng.randint(1, _MAX_NUMERATOR), rng.randint(1, _MAX_DENOMINATOR))
             for _ in range(m)
         ),
         reverse=True,

@@ -198,6 +198,14 @@ class TestWeightsEval:
         code, out, err = run(capsys, "weights-eval", "--fn", str(path), "--d", "1")
         assert code == 3
 
+    def test_unknown_key_exit(self, capsys, tmp_path):
+        path = self.write_fn(
+            tmp_path, {"n": 2, "r": 1, "tilde": [1], "bar": [-1], "typo_zero": 5}
+        )
+        code, out, err = run(capsys, "weights-eval", "--fn", path, "--d", "1")
+        assert code == 3
+        assert "typo_zero" in err
+
     def test_d_is_required(self, capsys, tmp_path):
         path = self.write_fn(tmp_path, nr_function_to_json(load_f85()))
         code, out, err = run(capsys, "weights-eval", "--fn", path)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -191,6 +192,9 @@ class TestParseErrors:
             "21|010",  # decreasing right side digits... wrong length first
             "3|0",  # digit exceeds r
             "21|3",  # digit exceeds n-r
+            "٢١|0",  # non-ASCII digits on the left
+            "21|١",  # a non-ASCII digit on the right
+            "2²|0",  # a superscript digit
         ],
     )
     def test_rejects_s32(self, text):
@@ -228,9 +232,9 @@ class TestParseErrors:
     def test_canonical_strings_round_trip(self):
         for n, r in [(3, 2), (10, 9), (10, 10), (11, 10), (11, 1), (12, 2)]:
             p = LatticeParams(n, r)
-            for mask in range(0, 1 << n, 7):
+            for mask in range(1 << n):
                 s = str(Word(p, mask))
-                assert str(parse_word(p, s)) == s
+                assert parse_word(p, s).mask == mask
 
     def test_comma_format_errors(self):
         p = LatticeParams(12, 11)
@@ -238,6 +242,10 @@ class TestParseErrors:
             parse_word(p, "11,2,|1")
         with pytest.raises(ValidationError):
             parse_word(p, "11,12,0,0,0,0,0,0,0,0,0|1")
+        with pytest.raises(ValidationError, match=re.escape("'11,2,0,0,0,0,0,0,0,0,0|1'")):
+            parse_word(p, "11,02,0,0,0,0,0,0,0,0,0|1")  # a leading zero
+        with pytest.raises(ValidationError, match=re.escape("'21|0,0,0,0,0,0,0,0,0,10'")):
+            parse_word(LatticeParams(12, 2), "21|0,0,0,0,0,0,0,0,0,010")
 
 
 class TestOrder:

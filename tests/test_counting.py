@@ -6,6 +6,7 @@ from marklat.core import LatticeParams, rank
 from marklat.counting import (
     BRUTE_FORCE_MAX_N,
     RankPolynomial,
+    census_rows,
     check_symmetry,
     rank_polynomial,
     s_bruteforce,
@@ -68,6 +69,17 @@ class TestRecursive:
             s_recursive(3, 1, -1)
         with pytest.raises(DomainError):
             s_recursive(3, 1, total_rank(3, 1) + 1)
+
+    @pytest.mark.parametrize("count", [s_recursive, s_convolution, s_bruteforce])
+    @pytest.mark.parametrize("args", [(3, 1, 2.0), (3, 1, True), (3.0, 1, 2), (3, True, 2)])
+    def test_non_int_arguments(self, count, args):
+        with pytest.raises(DomainError):
+            count(*args)
+
+    @pytest.mark.parametrize("n, r", [(-1, 0), (True, False), (3, 5), (3, -1), (3.0, 1)])
+    def test_total_rank_rejects_bad_parameters(self, n, r):
+        with pytest.raises(DomainError):
+            total_rank(n, r)
 
 
 class TestAgreement:
@@ -143,3 +155,8 @@ class TestCsv:
     def test_bad_n_max(self):
         with pytest.raises(DomainError):
             write_census_csv(io.StringIO(), -1)
+
+    @pytest.mark.parametrize("n_max", [True, 2.5, "3"])
+    def test_non_int_n_max(self, n_max):
+        with pytest.raises(DomainError):
+            list(census_rows(n_max))

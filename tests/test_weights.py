@@ -99,6 +99,16 @@ class TestSigma:
                 for lo, hi in build(p).edges:
                     assert sig[lo] <= sig[hi]
 
+    def test_draws_are_pinned_for_a_seed(self):
+        rng = random.Random(SEED)
+        p = LatticeParams(5, 2)
+        assert nr_function_to_json(random_nr_function(p, rng)) == {
+            "n": 5, "r": 2, "tilde": ["3/4", "5"], "bar": ["-2/3", "-5/3", "-2"],
+        }
+        assert nr_function_to_json(random_nr_function(p, rng, require_weight=True)) == {
+            "n": 5, "r": 2, "tilde": ["1/2", "2"], "bar": ["-1/4", "-3/4", "-3/2"],
+        }
+
     def test_complement_identity(self):
         rng = random.Random(SEED)
         for n, r in [(4, 2), (5, 3)]:
@@ -218,6 +228,11 @@ class TestJsonAndFiles:
     )
     def test_rejects_malformed_documents(self, doc):
         with pytest.raises((ValidationError, DomainError)):
+            nr_function_from_json(doc)
+
+    def test_rejects_unknown_keys(self):
+        doc = {"n": 2, "r": 1, "tilde": [1], "bar": [-1], "typo_zero": 5, "note": ""}
+        with pytest.raises(ValidationError, match="unknown keys: typo_zero, note"):
             nr_function_from_json(doc)
 
     def test_load_from_file(self, tmp_path):
