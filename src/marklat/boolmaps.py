@@ -417,6 +417,26 @@ def _slice_mask(params: LatticeParams, d: Optional[int]) -> int:
     return _d_slice(params.n, d)
 
 
+def _floor(n: int, d: Optional[int], representable: bool) -> Optional[int]:
+    """A proven lower bound on a minimum, or None where none is used.
+
+    Over all words: every weighted labeling holds one word of each
+    complement pair and both the zero and the full word, so 2^(n-1) + 1
+    P-words.  On the d-mark slice of the representable labelings, when
+    d divides n: Manickam and Singhi ("First distribution invariants
+    and EKR theorems", JCTA 48, 1988) proved that every valuation with a
+    nonnegative total has at least C(n-1, d-1) nonnegative d-sums.  The
+    weighted labelings that are not induced by a valuation can go below
+    it (``gamma_tilde_d(L(6,3), 2)`` is 3 < C(5, 1)), so gamma_tilde_d
+    has no floor.
+    """
+    if d is None:
+        return (1 << (n - 1)) + 1
+    if representable and n % d == 0:
+        return comb(n - 1, d - 1)
+    return None
+
+
 def _minimum(params, d, representable, cap, n_guard) -> ExtremalResult:
     """The least P-region size on the d-mark slice (all words when d is
     None) over the weighted labelings, or over the representable ones.
@@ -426,14 +446,12 @@ def _minimum(params, d, representable, cap, n_guard) -> ExtremalResult:
     labeling it yields is strictly smaller than the best so far, and
     only those get an LP.  The walk order is that of a full census, so
     the minimizer and its witness are the census's first; ``cap``
-    counts only the labelings reached.  Over all words a minimum also
-    stops at its floor: every weighted labeling holds one word of each
-    complement pair and both the zero and the full word, so 2^(n-1) + 1
-    P-words, and once the incumbent has that size no later labeling is
-    smaller.
+    counts only the labelings reached.  A minimum also stops at its
+    floor, once the incumbent has that size, since no later labeling is
+    smaller; see :func:`_floor`.
     """
     incumbent = _Incumbent(_slice_mask(params, d))
-    floor = (1 << (params.n - 1)) + 1 if d is None else None
+    floor = _floor(params.n, d, representable)
     found = witness = None
     for bmap in enumerate_wbm(params, cap=cap, n_guard=n_guard, _incumbent=incumbent):
         if representable:
@@ -476,7 +494,8 @@ def gamma(params, *, cap=DEFAULT_CAP, n_guard=DEFAULT_N_GUARD) -> ExtremalResult
 
 def gamma_d(params, d, *, cap=DEFAULT_CAP, n_guard=DEFAULT_N_GUARD) -> ExtremalResult:
     """Minimum count of P-labeled d-mark words over the representable
-    weighted labelings."""
+    weighted labelings.  When d divides n the search stops once it
+    reaches C(n-1, d-1), the Manickam-Singhi floor (see :func:`_floor`)."""
     return _minimum(params, d, True, cap, n_guard)
 
 
@@ -487,16 +506,21 @@ def psi(n: int, d: int, *, cap=DEFAULT_CAP, n_guard=DEFAULT_N_GUARD) -> Extremal
     closed form C(n, d) (with no negative mark every word sums >= 0), which
     never beats the enumerated range for n >= 2.  For n = 1 the closed form
     is the only candidate and no minimizing labeling exists (minimizer is
-    None).
+    None).  When d divides n the loop over r ends once the minimum reaches
+    the Manickam-Singhi floor C(n-1, d-1) (JCTA 48, 1988): no later r can
+    go below it, and ties keep the earlier r.
     """
     if type(n) is not int or n < 1:
         raise DomainError(f"need an int n >= 1, got n={n!r}")
     _check_d(d, n)
+    floor = _floor(n, d, True)
     best = None
     for r in range(1, n):
         res = gamma_d(LatticeParams(n, r), d, cap=cap, n_guard=n_guard)
         if best is None or res.value < best.value:
             best = res
+        if best.value == floor:
+            break
     closed_form = comb(n, d)
     if best is None or closed_form < best.value:
         best = ExtremalResult(closed_form, None, None)

@@ -21,10 +21,12 @@ are rendered on demand and parsed with full validation.
 
 Bit layout of ``Word.mask``: bit ``i - 1`` holds pos(i) for
 ``1 <= i <= r``, bit ``r + j - 1`` holds neg(j) for ``1 <= j <= n - r``.
+Listings order words by rank, then by the mask key of ``_canonical_masks``.
 """
 
 from __future__ import annotations
 
+import enum
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -107,16 +109,20 @@ class Symbol:
 
     value: int
 
+    def __post_init__(self):
+        if type(self.value) is not int:
+            raise DomainError(f"a symbol value must be an int, got {self.value!r}")
+
     @classmethod
     def pos(cls, index: int) -> "Symbol":
-        if index < 1:
-            raise DomainError(f"positive mark index must be >= 1, got {index}")
+        if type(index) is not int or index < 1:
+            raise DomainError(f"positive mark index must be an int >= 1, got {index!r}")
         return cls(index)
 
     @classmethod
     def neg(cls, index: int) -> "Symbol":
-        if index < 1:
-            raise DomainError(f"negative mark index must be >= 1, got {index}")
+        if type(index) is not int or index < 1:
+            raise DomainError(f"negative mark index must be an int >= 1, got {index!r}")
         return cls(-index)
 
     @property
@@ -435,12 +441,43 @@ def cartesian_merge(left: Word, right: Word) -> Word:
     return Word(params, left.mask | (right.mask << lp.n))
 
 
-def enumerate_words(params: LatticeParams) -> list:
-    """All 2^n words in canonical order: by rank, then in the child order
-    the Hasse builder produces within each rank level."""
-    from . import hasse  # deferred: hasse imports this module
+class GenOrder(enum.Enum):
+    """Word order within a rank, and child order in ``hasse.children``."""
 
-    return list(hasse.build(params).words())
+    OUT_IN = "outin"
+    LEFT_RIGHT = "leftright"
+
+
+def _mask_ranks(n: int, r: int) -> list:
+    """The rank of every word of L(n, r), indexed by mask: C(n-r+1, 2) for
+    the empty subset, plus i per pos(i) and minus j per neg(j) in it."""
+    ranks = [comb(n - r + 1, 2)]
+    for c in [i + 1 for i in range(r)] + [-(j + 1) for j in range(n - r)]:
+        ranks += [rk + c for rk in ranks]
+    return ranks
+
+
+@lru_cache(maxsize=64)
+def _canonical_masks(params: LatticeParams, order: GenOrder) -> tuple:
+    """``(masks, ranks)``: every word mask in canonical order, and the rank
+    of each mask.  Words go by rank, then by positive side ``mask & (2^r - 1)``
+    descending, then by negative side ``mask >> r`` ascending (``OUT_IN``)
+    or by the count, then the ascending list, of negative marks
+    (``LEFT_RIGHT``: ``Word.values`` in descending lexicographic order)."""
+    r, m = params.r, params.num_neg
+    ranks = _mask_ranks(params.n, r)
+    if order is GenOrder.OUT_IN:
+        neg_key = range(1 << m)
+    else:
+        neg_key = [(s.bit_count(), [j for j in range(m) if s >> j & 1]) for s in range(1 << m)]
+    low = (1 << r) - 1
+    masks = sorted(range(1 << params.n), key=lambda x: (ranks[x], -(x & low), neg_key[x >> r]))
+    return tuple(masks), tuple(ranks)
+
+
+def enumerate_words(params: LatticeParams) -> list:
+    """All 2^n words in canonical order (``GenOrder.OUT_IN``)."""
+    return [Word(params, m) for m in _canonical_masks(params, GenOrder.OUT_IN)[0]]
 
 
 def _check_d(d, n: int) -> None:
@@ -457,6 +494,5 @@ def enumerate_d_slice(params: LatticeParams, d: int) -> list:
 
 @lru_cache(maxsize=256)
 def _d_slice_words(params: LatticeParams, d: int) -> tuple:
-    from . import hasse  # deferred: hasse imports this module
-
-    return tuple(w for w in hasse.build(params).words() if w.mask.bit_count() == d)
+    masks = _canonical_masks(params, GenOrder.OUT_IN)[0]
+    return tuple(Word(params, m) for m in masks if m.bit_count() == d)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
+from .core import _mask_ranks
 from .errors import DomainError, ResourceLimitError
 
 __all__ = [
@@ -83,13 +84,8 @@ def s_convolution(n: int, r: int, k: int) -> int:
 
 @lru_cache(maxsize=None)
 def _census(n: int, r: int) -> tuple:
-    # ranks[mask] is the rank of the subset mask: the bottom's rank plus
-    # +i for pos(i) and -j for neg(j), built one mark at a time
-    ranks = [comb(n - r + 1, 2)]
-    for c in [i + 1 for i in range(r)] + [-(j + 1) for j in range(n - r)]:
-        ranks += [rk + c for rk in ranks]
     counts = [0] * (total_rank(n, r) + 1)
-    for rk in ranks:
+    for rk in _mask_ranks(n, r):
         counts[rk] += 1
     return tuple(counts)
 

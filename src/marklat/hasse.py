@@ -1,4 +1,4 @@
-"""Cover structure and level-by-level generation of the word lattices.
+"""Cover structure and Hasse diagrams of the word lattices.
 
 A position of a word is a *generating index* when raising its symbol one
 step up the chain yields another canonical word; that bump is exactly a
@@ -10,11 +10,9 @@ pos(1) insertion, then the negative moves: in descending j (from the
 last string position inward) under ``OUT_IN``, the default, and in
 ascending j under ``LEFT_RIGHT``.
 
-The whole lattice is generated level by level from the bottom word:
-each level is the concatenation of the ordered children of the previous
-level, scanned left to right keeping the first occurrence of each word.
-The parent-child pairs recorded along the way are exactly the cover
-pairs of the lattice.
+A diagram lists its words in the canonical order of :mod:`marklat.core`,
+grouped into rank levels, and its cover pairs as ``(word, child)`` for
+each word in that order and each of its children in child order.
 
 The diagram is exported as Graphviz DOT or as JSON.  Both writers send
 their document to an open text file line by line, from one table of
@@ -25,15 +23,14 @@ JSON document as a dict.
 
 from __future__ import annotations
 
-import enum
 import io
 from bisect import bisect
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, groupby
 from typing import NamedTuple
 
-from .core import LatticeParams, Word, delta
+from .core import GenOrder, LatticeParams, Word, _canonical_masks, delta
 from .errors import DomainError
 
 __all__ = [
@@ -49,13 +46,6 @@ __all__ = [
     "to_dot",
     "diagram_to_json",
 ]
-
-
-class GenOrder(enum.Enum):
-    """Child emission order used by :func:`children` and :func:`build`."""
-
-    OUT_IN = "outin"
-    LEFT_RIGHT = "leftright"
 
 
 def generating_indexes(w: Word) -> tuple:
@@ -94,7 +84,7 @@ def children(w: Word, order: GenOrder = GenOrder.OUT_IN) -> list:
 
 @dataclass(frozen=True)
 class HasseDiagram:
-    """Immutable result of :func:`build`: rank levels in generation order
+    """Immutable result of :func:`build`: rank levels in canonical order
     plus the cover pairs in emission order."""
 
     params: LatticeParams
@@ -113,35 +103,15 @@ class HasseDiagram:
 
 @lru_cache(maxsize=64)
 def _build_cached(params: LatticeParams, order: GenOrder) -> HasseDiagram:
-    bottom = Word(params, ((1 << params.num_neg) - 1) << params.r)
-    levels = [(bottom,)]
-    edges = []
-    current = [bottom]
-    total = 1
-    for _ in range(params.total_rank):
-        nxt = []
-        seen = {}
-        for w in current:
-            for child in _child_masks(params, w.mask, order):
-                cw = seen.get(child)
-                if cw is None:
-                    cw = Word(params, child)
-                    seen[child] = cw
-                    nxt.append(cw)
-                edges.append((w, cw))
-        levels.append(tuple(nxt))
-        total += len(nxt)
-        current = nxt
-    if total != 1 << params.n:
-        raise RuntimeError(
-            f"generation produced {total} words for {params}, expected {1 << params.n}"
-        )
-    return HasseDiagram(params, order, tuple(levels), tuple(edges))
+    masks, ranks = _canonical_masks(params, order)
+    words = {m: Word(params, m) for m in masks}
+    levels = tuple(tuple(level) for _, level in groupby(words.values(), lambda w: ranks[w.mask]))
+    edges = tuple((w, words[c]) for m, w in words.items() for c in _child_masks(params, m, order))
+    return HasseDiagram(params, order, levels, edges)
 
 
 def build(params: LatticeParams, order: GenOrder = GenOrder.OUT_IN) -> HasseDiagram:
-    """Generate the full diagram of L(n, r) bottom-up.  Results are cached
-    per (params, order) and must not be mutated."""
+    """The diagram of L(n, r), cached per (params, order); do not mutate it."""
     return _build_cached(params, GenOrder(order))
 
 
@@ -180,11 +150,12 @@ def split_parts(params: LatticeParams) -> LatticeSplit:
     return LatticeSplit(frozenset(lower), frozenset(upper), shift)
 
 
-def _quoted_names(diagram: HasseDiagram) -> dict:
-    """Each word's canonical string in double quotes.  The string holds
-    only digits, bars and commas, so the quoted text is at once its DOT
-    identifier and its JSON string."""
-    return {w: f'"{w}"' for w in diagram.words()}
+@lru_cache(maxsize=16)
+def _quoted_names(params: LatticeParams) -> tuple:
+    """Each word's canonical string in double quotes, indexed by word
+    mask.  The string holds only digits, bars and commas, so the quoted
+    text is at once its DOT identifier and its JSON string."""
+    return tuple(f'"{Word(params, m)}"' for m in range(1 << params.n))
 
 
 def write_dot(diagram: HasseDiagram, fh) -> None:
@@ -193,17 +164,17 @@ def write_dot(diagram: HasseDiagram, fh) -> None:
 
     Nodes keep their canonical string forms as quoted identifiers, each
     rank level is pinned with a same-rank group, and invisible edges
-    preserve the left-to-right generation order inside a level.
+    preserve the left-to-right canonical order inside a level.
     """
-    ids = _quoted_names(diagram)
+    names = _quoted_names(diagram.params)
     fh.write("digraph lattice {\n  rankdir=BT;\n  node [shape=box];\n")
     for level in diagram.levels:
-        row = [ids[w] for w in level]
+        row = [names[w.mask] for w in level]
         if len(row) == 1:
             fh.write(f"  {{ rank=same; {row[0]}; }}\n")
         else:
             fh.write(f"  {{ rank=same; {' -> '.join(row)} [style=invis]; }}\n")
-    fh.writelines(f"  {ids[lo]} -> {ids[hi]};\n" for lo, hi in diagram.edges)
+    fh.writelines(f"  {names[lo.mask]} -> {names[hi.mask]};\n" for lo, hi in diagram.edges)
     fh.write("}\n")
 
 
@@ -230,12 +201,16 @@ def write_json(diagram: HasseDiagram, fh) -> None:
     """Write ``json.dumps(diagram_to_json(diagram), indent=2,
     sort_keys=True)`` and a newline to the text file ``fh``, one line
     at a time."""
-    names = _quoted_names(diagram)
+    names = _quoted_names(diagram.params)
     item = ",\n      "
     fh.write('{\n  "edges": ')
-    fh.writelines(_json_rows(f"{names[lo]}{item}{names[hi]}" for lo, hi in diagram.edges))
+    fh.writelines(
+        _json_rows(f"{names[lo.mask]}{item}{names[hi.mask]}" for lo, hi in diagram.edges)
+    )
     fh.write(',\n  "levels": ')
-    fh.writelines(_json_rows(item.join([names[w] for w in level]) for level in diagram.levels))
+    fh.writelines(
+        _json_rows(item.join([names[w.mask] for w in level]) for level in diagram.levels)
+    )
     n, r = diagram.params.n, diagram.params.r
     fh.write(
         f',\n  "order": "{diagram.order.value}",\n'

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import random
 import sys
+from math import comb
 
 import pytest
 
@@ -619,6 +620,22 @@ class TestPsi:
             assert res.value == value
             assert res.minimizer.p_count_d(2) == value
             assert induced_map(res.witness).mask == res.minimizer.mask
+
+    @pytest.mark.parametrize(
+        "n, d, value",
+        [(8, 2, 7), (9, 3, 28), (10, 5, 126), (12, 3, 55), (12, 4, 165), (12, 6, 462)],
+    )
+    def test_stops_at_the_manickam_singhi_floor(self, n, d, value):
+        # d divides n, so C(n-1, d-1) is a proven floor, reached at r = 1
+        assert comb(n - 1, d - 1) == value
+        res = psi(n, d, n_guard=n)
+        assert res.value == value
+        assert res.minimizer.params == LatticeParams(n, 1)
+        assert induced_map(res.witness).mask == res.minimizer.mask
+
+    def test_the_floor_does_not_bound_gamma_tilde_d(self):
+        # a weighted labeling that no valuation induces goes below C(5, 1)
+        assert gamma_tilde_d(LatticeParams(6, 3), 2, n_guard=6).value == 3
 
     def test_bad_arguments(self):
         with pytest.raises(DomainError):

@@ -87,6 +87,21 @@ class TestSymbol:
         with pytest.raises(DomainError):
             Symbol.neg(-2)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Symbol(1.5),
+            lambda: Symbol(True),
+            lambda: Symbol.pos(2.0),
+            lambda: Symbol.neg(1.0),
+            lambda: Symbol.pos("1"),
+        ],
+        ids=["Symbol(1.5)", "Symbol(True)", "pos(2.0)", "neg(1.0)", "pos('1')"],
+    )
+    def test_non_int_value_rejected(self, make):
+        with pytest.raises(DomainError, match="int"):
+            make()
+
     def test_in_alphabet(self):
         p = LatticeParams(5, 2)
         assert Symbol.pos(2).in_alphabet(p)

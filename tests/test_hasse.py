@@ -5,7 +5,8 @@ import tracemalloc
 
 import pytest
 
-from marklat.core import LatticeParams, parse_word, rank
+from marklat import hasse
+from marklat.core import LatticeParams, enumerate_d_slice, enumerate_words, parse_word, rank
 from marklat.errors import DomainError
 from marklat.hasse import (
     GenOrder,
@@ -96,6 +97,19 @@ class TestBuild:
                     for w in d.words():
                         got = [c.values for c in children(w, order)]
                         assert got == ordered_child_vals(p, w.values, left_right)
+                    if order is GenOrder.OUT_IN:
+                        listed = [w.values for w in enumerate_words(p)]
+                        assert listed == [v for level in levels for v in level]
+                        for k in range(1, n + 1):
+                            want = [v for v in listed if sum(map(bool, v)) == k]
+                            assert [w.values for w in enumerate_d_slice(p, k)] == want
+
+    def test_word_listings_do_not_build_the_diagram(self):
+        p = LatticeParams(9, 4)
+        before = hasse._build_cached.cache_info()
+        assert len(enumerate_words(p)) == 1 << 9
+        assert len(enumerate_d_slice(p, 4)) == 126
+        assert hasse._build_cached.cache_info() == before
 
     def test_s63_first_levels_exact_order(self):
         d = build(LatticeParams(6, 3))
@@ -235,6 +249,13 @@ class TestWriters:
                     d = build(LatticeParams(n, r), order)
                     assert self.written(write_dot, d) == oracle_dot(d), (n, r, order)
                     assert self.written(write_json, d) == oracle_json(d), (n, r, order)
+
+    def test_both_writers_share_one_name_table(self):
+        d = build(LatticeParams(7, 3), GenOrder.LEFT_RIGHT)
+        self.written(write_dot, d)
+        misses = hasse._quoted_names.cache_info().misses
+        self.written(write_json, d)
+        assert hasse._quoted_names.cache_info().misses == misses
 
     def test_memory_stays_below_the_text(self):
         # neither writer holds its whole document: the traced peak of
