@@ -1,11 +1,8 @@
 """Two-valued labelings of a word lattice and their extremal numbers.
 
-A labeling assigns P or N to every word.  It is stored as one int, the
-bit mask of its P-region over word masks: bit m is set when the word
-whose ``Word.mask`` is m is P, so the all-zero word is bit 0, the word
-using only neg(1) is bit ``1 << r`` and the full word is bit ``2^n - 1``.
-The set of P-labeled words (``p_set``) is derived from that mask.
-The admissible ("weighted") labelings are those where
+A labeling assigns P or N to every word; :mod:`marklat.core` defines
+``BooleanMap`` and its mask layout.  The admissible ("weighted")
+labelings are those where
 
 * the P-region is an up-set (``monotone``),
 * the all-zero word is P (``zero_word``) and the word using only
@@ -42,7 +39,7 @@ from typing import Iterator, Optional
 
 from . import hasse
 # enumerate_words is looked up here by bench/spans.py, which traces it
-from .core import LatticeParams, Word, _check_d, enumerate_words  # noqa: F401
+from .core import BooleanMap, LatticeParams, _check_d, _d_slice, enumerate_words  # noqa: F401
 from .errors import DomainError, ResourceLimitError
 from .feasibility import feasible_point
 from .weights import NrFunction, induced_map
@@ -72,62 +69,6 @@ DEFAULT_CAP = 10_000_000
 DEFAULT_N_GUARD = 5
 
 BASIC_AXIOMS = ("monotone", "zero_word", "negative_unit")
-
-
-@lru_cache(maxsize=64)
-def _d_slice(n: int, d: int) -> int:
-    """Labeling mask of the words on exactly d marks."""
-    return sum(1 << m for m in range(1 << n) if m.bit_count() == d)
-
-
-@dataclass(frozen=True, init=False)
-class BooleanMap:
-    """A total P/N labeling stored as a bit mask over word masks: bit m of
-    ``mask`` is set when the word whose ``Word.mask`` is m is P.  The set
-    of P-labeled words, ``p_set``, is derived from the mask on demand."""
-
-    params: LatticeParams
-    mask: int
-
-    def __init__(self, params: LatticeParams, p_set):
-        mask = 0
-        for w in p_set:
-            if not isinstance(w, Word) or w.params != params:
-                raise DomainError(f"p_set entry {w!r} does not belong to {params}")
-            mask |= 1 << w.mask
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "mask", mask)
-
-    @classmethod
-    def _from_mask(cls, params: LatticeParams, mask: int) -> "BooleanMap":
-        # trusted constructor: mask must only hold bits below 2^n
-        bmap = object.__new__(cls)
-        object.__setattr__(bmap, "params", params)
-        object.__setattr__(bmap, "mask", mask)
-        return bmap
-
-    @property
-    def p_set(self) -> frozenset:
-        """The P-labeled words."""
-        return frozenset(
-            Word(self.params, m) for m in range(1 << self.params.n) if self.mask >> m & 1
-        )
-
-    def is_positive(self, w: Word) -> bool:
-        if w.params != self.params:
-            raise DomainError(f"word from {w.params} against a map on {self.params}")
-        return bool(self.mask >> w.mask & 1)
-
-    def label(self, w: Word) -> str:
-        return "P" if self.is_positive(w) else "N"
-
-    @property
-    def p_count(self) -> int:
-        return self.mask.bit_count()
-
-    def p_count_d(self, d: int) -> int:
-        _check_d(d, self.params.n)
-        return (self.mask & _d_slice(self.params.n, d)).bit_count()
 
 
 @dataclass(frozen=True)
@@ -258,13 +199,16 @@ def enumerate_wbm(
     deterministic order (words are decided top rank first, N before P).
 
     Raises a resource error when n exceeds ``n_guard`` or more than
-    ``cap`` labelings would be produced.  At r = n the conditions are
-    unspecified (no negative mark), so nothing is yielded.
+    ``cap`` labelings would be produced, and a domain error unless both
+    are ints and ``cap >= 0``.  At r = n the conditions are unspecified
+    (no negative mark), so nothing is yielded.
 
     ``_incumbent`` is an extremal minimum's own: with it, only the
     labelings smaller than its current size on its slice are yielded and
     counted against ``cap``.
     """
+    if type(cap) is not int or type(n_guard) is not int or cap < 0:
+        raise DomainError(f"need an int cap >= 0 and an int n_guard, got {cap!r} and {n_guard!r}")
     if params.n > n_guard:
         raise ResourceLimitError(
             f"out of desk scale: n={params.n} exceeds the enumeration guard "

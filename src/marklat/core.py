@@ -22,6 +22,13 @@ are rendered on demand and parsed with full validation.
 Bit layout of ``Word.mask``: bit ``i - 1`` holds pos(i) for
 ``1 <= i <= r``, bit ``r + j - 1`` holds neg(j) for ``1 <= j <= n - r``.
 Listings order words by rank, then by the mask key of ``_canonical_masks``.
+
+A labeling (``BooleanMap``) assigns P or N to every word.  It is stored
+as one int, the bit mask of its P-region over word masks: bit m is set
+when the word whose ``Word.mask`` is m is P, so the all-zero word is bit
+0, the word using only neg(1) is bit ``1 << r`` and the full word is bit
+``2^n - 1``.  The set of P-labeled words (``p_set``) is derived from
+that mask.
 """
 
 from __future__ import annotations
@@ -448,13 +455,18 @@ class GenOrder(enum.Enum):
     LEFT_RIGHT = "leftright"
 
 
+def _subset_sums(first: int, steps: Iterable[int]) -> list:
+    """``sums[m]`` is ``first`` plus the steps at the set bits of m."""
+    sums = [first]
+    for step in steps:
+        sums += [s + step for s in sums]
+    return sums
+
+
 def _mask_ranks(n: int, r: int) -> list:
     """The rank of every word of L(n, r), indexed by mask: C(n-r+1, 2) for
     the empty subset, plus i per pos(i) and minus j per neg(j) in it."""
-    ranks = [comb(n - r + 1, 2)]
-    for c in [i + 1 for i in range(r)] + [-(j + 1) for j in range(n - r)]:
-        ranks += [rk + c for rk in ranks]
-    return ranks
+    return _subset_sums(comb(n - r + 1, 2), [*range(1, r + 1), *range(-1, r - n - 1, -1)])
 
 
 @lru_cache(maxsize=64)
@@ -496,3 +508,59 @@ def enumerate_d_slice(params: LatticeParams, d: int) -> list:
 def _d_slice_words(params: LatticeParams, d: int) -> tuple:
     masks = _canonical_masks(params, GenOrder.OUT_IN)[0]
     return tuple(Word(params, m) for m in masks if m.bit_count() == d)
+
+
+@lru_cache(maxsize=64)
+def _d_slice(n: int, d: int) -> int:
+    """Labeling mask of the words on exactly d marks."""
+    return sum(1 << m for m in range(1 << n) if m.bit_count() == d)
+
+
+@dataclass(frozen=True, init=False)
+class BooleanMap:
+    """A total P/N labeling stored as a bit mask over word masks: bit m of
+    ``mask`` is set when the word whose ``Word.mask`` is m is P.  The set
+    of P-labeled words, ``p_set``, is derived from the mask on demand."""
+
+    params: LatticeParams
+    mask: int
+
+    def __init__(self, params: LatticeParams, p_set):
+        mask = 0
+        for w in p_set:
+            if not isinstance(w, Word) or w.params != params:
+                raise DomainError(f"p_set entry {w!r} does not belong to {params}")
+            mask |= 1 << w.mask
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "mask", mask)
+
+    @classmethod
+    def _from_mask(cls, params: LatticeParams, mask: int) -> "BooleanMap":
+        # trusted constructor: mask must only hold bits below 2^n
+        bmap = object.__new__(cls)
+        object.__setattr__(bmap, "params", params)
+        object.__setattr__(bmap, "mask", mask)
+        return bmap
+
+    @property
+    def p_set(self) -> frozenset:
+        """The P-labeled words."""
+        return frozenset(
+            Word(self.params, m) for m in range(1 << self.params.n) if self.mask >> m & 1
+        )
+
+    def is_positive(self, w: Word) -> bool:
+        if w.params != self.params:
+            raise DomainError(f"word from {w.params} against a map on {self.params}")
+        return bool(self.mask >> w.mask & 1)
+
+    def label(self, w: Word) -> str:
+        return "P" if self.is_positive(w) else "N"
+
+    @property
+    def p_count(self) -> int:
+        return self.mask.bit_count()
+
+    def p_count_d(self, d: int) -> int:
+        _check_d(d, self.params.n)
+        return (self.mask & _d_slice(self.params.n, d)).bit_count()

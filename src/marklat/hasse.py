@@ -3,11 +3,11 @@
 A position of a word is a *generating index* when raising its symbol one
 step up the chain yields another canonical word; that bump is exactly a
 cover step.  On the subset of marks a word encodes, a bump trades pos(v)
-for an absent pos(v+1) (v < r), adds an absent pos(1) when the positive
-side has a free slot, drops neg(1), or trades neg(j) for an absent
-neg(j-1).  Children list the positive trades in descending v, then the
-pos(1) insertion, then the negative moves: in descending j (from the
-last string position inward) under ``OUT_IN``, the default, and in
+for an absent pos(v+1) (v < r), adds pos(1) when r >= 1 and pos(1) is
+absent, drops neg(1), or trades neg(j) for an absent neg(j-1).
+Children list the positive trades in descending v, then the pos(1)
+insertion, then the negative moves: in descending j (from the last
+string position inward) under ``OUT_IN``, the default, and in
 ascending j under ``LEFT_RIGHT``.
 
 A diagram lists its words in the canonical order of :mod:`marklat.core`,
@@ -67,7 +67,7 @@ def _child_masks(params: LatticeParams, mask: int, order: GenOrder) -> list:
     r = params.r
     # trade pos(v) for an absent pos(v+1)
     out = [mask ^ 3 << (v - 1) for v in range(r - 1, 0, -1) if mask >> (v - 1) & 3 == 1]
-    if not mask & 1 and (mask & ((1 << r) - 1)).bit_count() < r:
+    if r and not mask & 1:
         out.append(mask | 1)
     # drop neg(1); trade neg(j) for an absent neg(j-1), at bits k = r+j-2, k+1
     neg = [mask ^ 1 << r] if mask >> r & 1 else []

@@ -26,7 +26,7 @@ from math import lcm
 from typing import Sequence
 
 # enumerate_words is looked up here by bench/spans.py, which traces it
-from .core import LatticeParams, Symbol, Word, enumerate_words  # noqa: F401
+from .core import BooleanMap, LatticeParams, Symbol, Word, _subset_sums, enumerate_words  # noqa: F401
 from .errors import DomainError, ValidationError
 
 __all__ = [
@@ -164,15 +164,10 @@ def sigma(f: NrFunction, w: Word) -> Fraction:
 
 def induced_map(f: NrFunction):
     """The boolean map sending a word to P exactly when its sum is >= 0."""
-    from .boolmaps import BooleanMap  # deferred: boolmaps imports this module
-
     # one common multiple of the denominators turns every sum into an int
     # of the same sign; sums[m] is the sum over the marks in mask m
     scale = lcm(*(v.denominator for v in f._by_bit))
-    sums = [0]
-    for v in f._by_bit:
-        step = v.numerator * (scale // v.denominator)
-        sums += [s + step for s in sums]
+    sums = _subset_sums(0, [v.numerator * (scale // v.denominator) for v in f._by_bit])
     mask = 0
     for m, s in enumerate(sums):
         if s >= 0:

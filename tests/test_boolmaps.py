@@ -41,6 +41,7 @@ from helpers import (
     full_tableau_point,
     leq_table,
     scan_walk_masks,
+    tuple_levels_and_edges,
 )
 
 
@@ -265,12 +266,39 @@ class TestEnumerate:
         with pytest.raises(ResourceLimitError):
             enumerate_wbm(LatticeParams(6, 1))
 
+    def test_bad_limits_are_domain_errors(self):
+        bad = [{"cap": c} for c in (-3, -1, 1.5, 2.0, True, "5", None)]
+        bad += [{"n_guard": g} for g in (5.0, False, "5", None)]
+        for limits in bad:
+            # raised eagerly, and at r = n too, where nothing is walked
+            for p in (LatticeParams(3, 1), LatticeParams(3, 3)):
+                with pytest.raises(DomainError, match="cap"):
+                    enumerate_wbm(p, **limits)
+            with pytest.raises(DomainError, match="cap"):
+                gamma(LatticeParams(3, 1), **limits)
+        assert list(enumerate_wbm(LatticeParams(3, 1), cap=1)) != []
+        with pytest.raises(ResourceLimitError):
+            list(enumerate_wbm(LatticeParams(3, 1), cap=0))
+
     def test_order_matches_the_scanning_walk(self):
         cases = [(n, r) for n in range(1, 7) for r in range(n)] + [(7, 1), (7, 2), (7, 6)]
         for n, r in cases:
             p = LatticeParams(n, r)
             got = [m.mask for m in enumerate_wbm(p, n_guard=7)]
             assert got == scan_walk_masks(p, *_tables(p))
+
+    def test_tables_match_the_order_oracle(self):
+        for n in range(0, 8):
+            for r in range(0, n + 1):
+                p = LatticeParams(n, r)
+                up, down, decision = _tables(p)
+                words, want_up, want_down = leq_table(p)
+                assert list(up) == want_up
+                assert list(down) == want_down
+                # top rank first, canonical order within a rank
+                mask_of = {w.values: w.mask for w in words}
+                levels, _ = tuple_levels_and_edges(p, False)
+                assert list(decision) == [mask_of[v] for level in reversed(levels) for v in level]
 
     def test_complement_maps_down_sets_onto_up_sets(self):
         # the walk forces P on the up-set of i's complement when i turns N
@@ -623,7 +651,10 @@ class TestPsi:
 
     @pytest.mark.parametrize(
         "n, d, value",
-        [(8, 2, 7), (9, 3, 28), (10, 5, 126), (12, 3, 55), (12, 4, 165), (12, 6, 462)],
+        [
+            (8, 2, 7), (9, 3, 28), (10, 5, 126), (12, 3, 55),
+            (12, 4, 165), (12, 6, 462), (14, 7, 1716),
+        ],
     )
     def test_stops_at_the_manickam_singhi_floor(self, n, d, value):
         # d divides n, so C(n-1, d-1) is a proven floor, reached at r = 1

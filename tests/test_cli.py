@@ -251,6 +251,11 @@ class TestGammaAndReport:
         code, out, err = run(capsys, "report", "--n", "4", "--r", "2", "--cap", "2")
         assert code == 4
 
+    def test_negative_cap_is_a_domain_error(self, capsys):
+        code, out, err = run(capsys, "gamma", "--n", "3", "--r", "1", "--cap", "-3")
+        assert code == 3
+        assert "cap" in err and "exceeded" not in err
+
     def test_boundary_r_exit(self, capsys):
         code, out, err = run(capsys, "gamma", "--n", "3", "--r", "3")
         assert code == 3
