@@ -27,10 +27,7 @@ def _params(args) -> LatticeParams:
 
 def cmd_enumerate(args) -> int:
     params = _params(args)
-    if args.d is None:
-        words = list(enumerate_words(params))
-    else:
-        words = list(enumerate_d_slice(params, args.d))
+    words = enumerate_words(params) if args.d is None else enumerate_d_slice(params, args.d)
     if args.json:
         _emit_json(
             {

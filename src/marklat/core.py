@@ -21,7 +21,7 @@ are rendered on demand and parsed with full validation.
 
 Bit layout of ``Word.mask``: bit ``i - 1`` holds pos(i) for
 ``1 <= i <= r``, bit ``r + j - 1`` holds neg(j) for ``1 <= j <= n - r``.
-Listings order words by rank, then by the mask key of ``_canonical_masks``.
+Listings go by rank, then by the two sides of the bar (``_canonical_levels``).
 
 A labeling (``BooleanMap``) assigns P or N to every word.  It is stored
 as one int, the bit mask of its P-region over word masks: bit m is set
@@ -37,6 +37,7 @@ import enum
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 from typing import Iterable
 
@@ -470,26 +471,29 @@ def _mask_ranks(n: int, r: int) -> list:
 
 
 @lru_cache(maxsize=64)
-def _canonical_masks(params: LatticeParams, order: GenOrder) -> tuple:
-    """``(masks, ranks)``: every word mask in canonical order, and the rank
-    of each mask.  Words go by rank, then by positive side ``mask & (2^r - 1)``
-    descending, then by negative side ``mask >> r`` ascending (``OUT_IN``)
-    or by the count, then the ascending list, of negative marks
-    (``LEFT_RIGHT``: ``Word.values`` in descending lexicographic order)."""
+def _canonical_levels(params: LatticeParams, order: GenOrder) -> tuple:
+    """The word masks of each rank, bottom first, filled in canonical
+    order: positive side ``mask & (2^r - 1)`` descending, then negative
+    side ``mask >> r`` ascending (``OUT_IN``) or by the count, then the
+    ascending list, of its marks (``LEFT_RIGHT``: ``Word.values`` in
+    descending lexicographic order)."""
     r, m = params.r, params.num_neg
     ranks = _mask_ranks(params.n, r)
     if order is GenOrder.OUT_IN:
-        neg_key = range(1 << m)
+        negs = range(1 << m)
     else:
-        neg_key = [(s.bit_count(), [j for j in range(m) if s >> j & 1]) for s in range(1 << m)]
-    low = (1 << r) - 1
-    masks = sorted(range(1 << params.n), key=lambda x: (ranks[x], -(x & low), neg_key[x >> r]))
-    return tuple(masks), tuple(ranks)
+        negs = [sum(c) for k in range(m + 1) for c in combinations([1 << j for j in range(m)], k)]
+    levels = [[] for _ in range(params.total_rank + 1)]
+    for pos in range((1 << r) - 1, -1, -1):
+        for neg in negs:
+            mask = pos | neg << r
+            levels[ranks[mask]].append(mask)
+    return tuple(map(tuple, levels))
 
 
 def enumerate_words(params: LatticeParams) -> list:
     """All 2^n words in canonical order (``GenOrder.OUT_IN``)."""
-    return [Word(params, m) for m in _canonical_masks(params, GenOrder.OUT_IN)[0]]
+    return [Word(params, m) for level in _canonical_levels(params, GenOrder.OUT_IN) for m in level]
 
 
 def _check_d(d, n: int) -> None:
@@ -506,14 +510,20 @@ def enumerate_d_slice(params: LatticeParams, d: int) -> list:
 
 @lru_cache(maxsize=256)
 def _d_slice_words(params: LatticeParams, d: int) -> tuple:
-    masks = _canonical_masks(params, GenOrder.OUT_IN)[0]
-    return tuple(Word(params, m) for m in masks if m.bit_count() == d)
+    levels = _canonical_levels(params, GenOrder.OUT_IN)
+    return tuple(Word(params, m) for level in levels for m in level if m.bit_count() == d)
 
 
 @lru_cache(maxsize=64)
 def _d_slice(n: int, d: int) -> int:
-    """Labeling mask of the words on exactly d marks."""
-    return sum(1 << m for m in range(1 << n) if m.bit_count() == d)
+    """Labeling mask of the words on exactly d marks, by Pascal's rule:
+    ``row[j]`` holds the words on j of the first k marks, and mark k + 1
+    moves each word of ``row[j - 1]`` up by 2^k into ``row[j]``."""
+    row = [1] + [0] * d
+    for k in range(n):
+        for j in range(min(d, k + 1), 0, -1):
+            row[j] |= row[j - 1] << (1 << k)
+    return row[d]
 
 
 @dataclass(frozen=True, init=False)

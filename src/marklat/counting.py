@@ -167,14 +167,5 @@ def write_census_csv(fileobj, n_max: int):
     writer = csv.writer(fileobj, lineterminator="\n")
     writer.writerow(CSV_FIELDS)
     for row in census_rows(n_max):
-        writer.writerow(
-            [
-                row["n"],
-                row["r"],
-                row["k"],
-                row["s_recursive"],
-                row["s_convolution"],
-                row["s_bruteforce"],
-                "true" if row["agree"] else "false",
-            ]
-        )
+        row["agree"] = "true" if row["agree"] else "false"
+        writer.writerow([row[k] for k in CSV_FIELDS])

@@ -27,10 +27,10 @@ import io
 from bisect import bisect
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, groupby
+from itertools import chain
 from typing import NamedTuple
 
-from .core import GenOrder, LatticeParams, Word, _canonical_masks, delta
+from .core import GenOrder, LatticeParams, Word, _canonical_levels, delta
 from .errors import DomainError
 
 __all__ = [
@@ -103,9 +103,9 @@ class HasseDiagram:
 
 @lru_cache(maxsize=64)
 def _build_cached(params: LatticeParams, order: GenOrder) -> HasseDiagram:
-    masks, ranks = _canonical_masks(params, order)
-    words = {m: Word(params, m) for m in masks}
-    levels = tuple(tuple(level) for _, level in groupby(words.values(), lambda w: ranks[w.mask]))
+    mask_levels = _canonical_levels(params, order)
+    words = {m: Word(params, m) for m in chain.from_iterable(mask_levels)}
+    levels = tuple(tuple(map(words.get, level)) for level in mask_levels)
     edges = tuple((w, words[c]) for m, w in words.items() for c in _child_masks(params, m, order))
     return HasseDiagram(params, order, levels, edges)
 

@@ -223,8 +223,9 @@ def load_nr_function(path) -> NrFunction:
             data = json.load(fh)
     except OSError as exc:
         raise DomainError(f"cannot read valuation file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"valuation file {path} is not valid JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        # bad syntax, bad UTF-8 or too many digits; or nesting too deep
+        raise ValidationError(f"valuation file {path} cannot be parsed as JSON: {exc}") from None
     return nr_function_from_json(data)
 
 

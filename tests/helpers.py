@@ -9,12 +9,23 @@ trusted (it is itself pinned against hand examples in test_core).
 
 import json
 from fractions import Fraction
+from itertools import groupby
 from math import lcm
 
 from marklat.core import Word
 from marklat.hasse import diagram_to_json
 
 SEED = 1729
+
+# valuation files the JSON reader rejects: a syntax error, bytes that
+# are not UTF-8, an integer past the int-digit limit, and nesting past
+# the recursion limit
+MALFORMED_JSON = {
+    "broken.json": b"{not json",
+    "latin1.json": b'{"n": 1, "r": 1, "tilde": ["\xe9"], "bar": []}',
+    "digits.json": b'{"n": 1, "r": 1, "tilde": [' + b"9" * 5000 + b'], "bar": []}',
+    "nested.json": b"[" * 200_000,
+}
 
 
 def all_words(params):
@@ -77,6 +88,22 @@ def bfs_ranks(params):
                     nxt.append(k)
         frontier = nxt
     return {words[i]: d for i, d in dist.items()}
+
+
+def sorted_levels(params, left_right):
+    """Every word mask by one sort with tuple keys, grouped into rank
+    levels: rank, then positive side descending, then negative side
+    ascending (out-in) or by the count and then the ascending list of
+    negative marks (``left_right``)."""
+    r, m = params.r, params.num_neg
+    ranks = [w.rank for w in all_words(params)]
+    if left_right:
+        neg_key = [(s.bit_count(), [j for j in range(m) if s >> j & 1]) for s in range(1 << m)]
+    else:
+        neg_key = range(1 << m)
+    low = (1 << r) - 1
+    masks = sorted(range(1 << params.n), key=lambda x: (ranks[x], -(x & low), neg_key[x >> r]))
+    return [list(level) for _, level in groupby(masks, ranks.__getitem__)]
 
 
 def oracle_dot(diagram):

@@ -9,7 +9,7 @@ from marklat.core import LatticeParams, enumerate_words
 from marklat.hasse import build
 from marklat.weights import load_f85, nr_function_to_json
 
-from helpers import oracle_dot, oracle_json
+from helpers import MALFORMED_JSON, oracle_dot, oracle_json
 
 
 def run(capsys, *argv):
@@ -197,6 +197,13 @@ class TestWeightsEval:
         path.write_text("{")
         code, out, err = run(capsys, "weights-eval", "--fn", str(path), "--d", "1")
         assert code == 3
+
+    def test_malformed_files_exit(self, capsys, tmp_path):
+        for name, data in MALFORMED_JSON.items():
+            path = tmp_path / name
+            path.write_bytes(data)
+            code, out, err = run(capsys, "weights-eval", "--fn", str(path), "--d", "1")
+            assert code == 3 and name in err
 
     def test_unknown_key_exit(self, capsys, tmp_path):
         path = self.write_fn(

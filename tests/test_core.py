@@ -9,6 +9,7 @@ from marklat.core import (
     Symbol,
     Word,
     ZERO,
+    _d_slice,
     bool_intersect,
     bool_union,
     cartesian_merge,
@@ -551,6 +552,12 @@ class TestEnumeration:
             list(enumerate_d_slice(p, 0))
         with pytest.raises(DomainError):
             list(enumerate_d_slice(p, 6))
+
+    def test_d_slice_mask_is_the_popcount_filter(self):
+        for n in range(0, 13):
+            for d in range(0, n + 1):
+                want = sum(1 << m for m in range(1 << n) if m.bit_count() == d)
+                assert _d_slice(n, d) == want
 
     def test_d_slice_sizes_are_binomial(self):
         from math import comb

@@ -6,7 +6,14 @@ import tracemalloc
 import pytest
 
 from marklat import hasse
-from marklat.core import LatticeParams, enumerate_d_slice, enumerate_words, parse_word, rank
+from marklat.core import (
+    LatticeParams,
+    _canonical_levels,
+    enumerate_d_slice,
+    enumerate_words,
+    parse_word,
+    rank,
+)
 from marklat.errors import DomainError
 from marklat.hasse import (
     GenOrder,
@@ -26,6 +33,7 @@ from helpers import (
     oracle_dot,
     oracle_json,
     ordered_child_vals,
+    sorted_levels,
     tuple_levels_and_edges,
 )
 
@@ -103,6 +111,14 @@ class TestBuild:
                         for k in range(1, n + 1):
                             want = [v for v in listed if sum(map(bool, v)) == k]
                             assert [w.values for w in enumerate_d_slice(p, k)] == want
+
+    def test_levels_match_the_sort_oracle_beyond_the_generator(self):
+        for n in range(10, 15):
+            for r in range(0, n + 1):
+                p = LatticeParams(n, r)
+                for order in GenOrder:
+                    want = sorted_levels(p, order is GenOrder.LEFT_RIGHT)
+                    assert [list(level) for level in _canonical_levels(p, order)] == want
 
     def test_word_listings_do_not_build_the_diagram(self):
         p = LatticeParams(9, 4)

@@ -20,7 +20,7 @@ from marklat.weights import (
     sigma,
 )
 
-from helpers import SEED, all_words
+from helpers import MALFORMED_JSON, SEED, all_words
 
 
 def fn(n, r, pos, neg):
@@ -249,10 +249,11 @@ class TestJsonAndFiles:
             load_nr_function(tmp_path / "absent.json")
 
     def test_invalid_json(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        with pytest.raises(ValidationError):
-            load_nr_function(path)
+        for name, data in MALFORMED_JSON.items():
+            path = tmp_path / name
+            path.write_bytes(data)
+            with pytest.raises(ValidationError, match=name):
+                load_nr_function(path)
 
     def test_matches_schema(self):
         jsonschema = pytest.importorskip("jsonschema")
