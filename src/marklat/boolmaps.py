@@ -38,8 +38,9 @@ from math import comb, inf
 from typing import Iterator, Optional
 
 from . import hasse
+from .core import BooleanMap, LatticeParams, Word, _check_d, _d_slice
 # enumerate_words is looked up here by bench/spans.py, which traces it
-from .core import BooleanMap, LatticeParams, _check_d, _d_slice, enumerate_words  # noqa: F401
+from .core import enumerate_words  # noqa: F401
 from .errors import DomainError, ResourceLimitError
 from .feasibility import feasible_point
 from .weights import NrFunction, induced_map
@@ -110,13 +111,14 @@ def _shifted(x: int, shift: int) -> int:
 @lru_cache(maxsize=16)
 def _cover_shifts(params: LatticeParams) -> tuple:
     """The cover relation as ``(shift, lows)`` pairs, one per distinct
-    ``hi.mask - lo.mask`` (at most n of them): ``lows`` is the labeling
-    mask of the lower words of the covers with that shift, so shifting
-    ``x & lows`` by ``shift`` moves each such word of x onto its cover."""
+    ``hi - lo`` over the cover masks (at most n of them): ``lows`` is the
+    labeling mask of the lower words of the covers with that shift, so
+    shifting ``x & lows`` by ``shift`` moves each such word of x onto its
+    cover."""
     lows = {}
-    for lo, hi in hasse.build(params).edges:
-        shift = hi.mask - lo.mask
-        lows[shift] = lows.get(shift, 0) | 1 << lo.mask
+    for lo, hi in hasse.build(params).cover_masks():
+        shift = hi - lo
+        lows[shift] = lows.get(shift, 0) | 1 << lo
     return tuple(lows.items())
 
 
@@ -164,15 +166,16 @@ def _tables(params: LatticeParams):
     mask: the up- and down-closure of every word as a labeling mask, and
     the top-down decision order."""
     diagram = hasse.build(params)
+    covers = list(diagram.cover_masks())
     up = [1 << m for m in range(1 << params.n)]
     down = list(up)
-    # close the cover relation level by level: edges are listed by the
+    # close the cover relation level by level: covers are listed by the
     # rank of their lower word
-    for lo, hi in reversed(diagram.edges):
-        up[lo.mask] |= up[hi.mask]
-    for lo, hi in diagram.edges:
-        down[hi.mask] |= down[lo.mask]
-    decision = [w.mask for level in reversed(diagram.levels) for w in level]
+    for lo, hi in reversed(covers):
+        up[lo] |= up[hi]
+    for lo, hi in covers:
+        down[hi] |= down[lo]
+    decision = [m for level in reversed(diagram.mask_levels) for m in level]
     return tuple(up), tuple(down), tuple(decision)
 
 
@@ -524,8 +527,9 @@ def wb_vs_rwb_report(
 
 def map_to_json(bmap: BooleanMap) -> dict:
     """JSON form of a labeling: its P-words in canonical order."""
-    p = bmap.mask
-    return {"p_set": [str(w) for w in hasse.build(bmap.params).words() if p >> w.mask & 1]}
+    params, p = bmap.params, bmap.mask
+    levels = hasse.build(params).mask_levels
+    return {"p_set": [str(Word(params, m)) for level in levels for m in level if p >> m & 1]}
 
 
 def report_to_json(report: ExtremalReport) -> dict:

@@ -10,15 +10,24 @@ insertion, then the negative moves: in descending j (from the last
 string position inward) under ``OUT_IN``, the default, and in
 ascending j under ``LEFT_RIGHT``.
 
-A diagram lists its words in the canonical order of :mod:`marklat.core`,
-grouped into rank levels, and its cover pairs as ``(word, child)`` for
-each word in that order and each of its children in child order.
+The moves split at the bar: the positive trades and the pos(1)
+insertion depend only on the positive side ``mask & (2^r - 1)``, the
+negative moves only on ``mask >> r``.  ``_move_tables`` lists them once
+per lattice and order, as XOR deltas in child order, one table per
+half; every cover in this module is read from it.
 
-The diagram is exported as Graphviz DOT or as JSON.  Both writers send
-their document to an open text file line by line, from one table of
-quoted word names, and never hold it whole (at n = 14 a DOT file is
-3-5 MB).  ``to_dot`` returns the DOT text and ``diagram_to_json`` the
-JSON document as a dict.
+A diagram holds word masks only: the rank levels of
+:mod:`marklat.core`, in canonical order.  Its cover pairs are
+``(word, child)`` for each word in that order and each of its children
+in child order; ``cover_masks`` yields them as mask pairs.  The
+``Word`` views ``levels`` and ``edges`` are built the first time they
+are read.
+
+The diagram is exported as Graphviz DOT or as JSON.  Both writers read
+masks, never a ``Word``, and send their document to an open text file
+line by line, from one table of quoted word names, and never hold it
+whole (at n = 14 a DOT file is 3-5 MB).  ``to_dot`` returns the DOT text
+and ``diagram_to_json`` the JSON document as a dict.
 """
 
 from __future__ import annotations
@@ -26,11 +35,11 @@ from __future__ import annotations
 import io
 from bisect import bisect
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from typing import NamedTuple
 
-from .core import GenOrder, LatticeParams, Word, _canonical_levels, delta
+from .core import GenOrder, LatticeParams, Word, _canonical_levels, _neg_text, _pos_text, delta
 from .errors import DomainError
 
 __all__ = [
@@ -62,19 +71,32 @@ def generating_indexes(w: Word) -> tuple:
     return tuple(moved[:cut]), tuple(moved[cut:])
 
 
+@lru_cache(maxsize=64)
+def _move_tables(params: LatticeParams, order: GenOrder) -> tuple:
+    """The upper covers of every word as XOR deltas on its mask, in child
+    order: ``pos[mask & (2^r - 1)] + neg[mask >> r]``."""
+    r, m = params.r, params.num_neg
+    pos = []
+    for s in range(1 << r):
+        # trade pos(v) for an absent pos(v+1); add an absent pos(1)
+        moves = [3 << (v - 1) for v in range(r - 1, 0, -1) if s >> (v - 1) & 3 == 1]
+        pos.append(tuple(moves + [1] if r and not s & 1 else moves))
+    neg = []
+    for s in range(1 << m):
+        # drop neg(1); trade neg(j) for an absent neg(j-1), at side bits j-2, j-1
+        moves = [1 << r] if s & 1 else []
+        moves += [3 << (r + k) for k in range(m - 1) if s >> k & 3 == 2]
+        if order is GenOrder.OUT_IN:
+            moves.reverse()
+        neg.append(tuple(moves))
+    return tuple(pos), tuple(neg)
+
+
 def _child_masks(params: LatticeParams, mask: int, order: GenOrder) -> list:
     """Subset masks of the upper covers of the word ``mask``, in child order."""
+    pos, neg = _move_tables(params, order)
     r = params.r
-    # trade pos(v) for an absent pos(v+1)
-    out = [mask ^ 3 << (v - 1) for v in range(r - 1, 0, -1) if mask >> (v - 1) & 3 == 1]
-    if r and not mask & 1:
-        out.append(mask | 1)
-    # drop neg(1); trade neg(j) for an absent neg(j-1), at bits k = r+j-2, k+1
-    neg = [mask ^ 1 << r] if mask >> r & 1 else []
-    neg += [mask ^ 3 << k for k in range(r, params.n - 1) if mask >> k & 3 == 2]
-    if order is GenOrder.OUT_IN:
-        neg.reverse()
-    return out + neg
+    return [mask ^ d for d in pos[mask & ((1 << r) - 1)] + neg[mask >> r]]
 
 
 def children(w: Word, order: GenOrder = GenOrder.OUT_IN) -> list:
@@ -84,13 +106,36 @@ def children(w: Word, order: GenOrder = GenOrder.OUT_IN) -> list:
 
 @dataclass(frozen=True)
 class HasseDiagram:
-    """Immutable result of :func:`build`: rank levels in canonical order
-    plus the cover pairs in emission order."""
+    """Immutable result of :func:`build`: the word masks of each rank
+    level in canonical order.  ``levels`` and ``edges`` are their
+    ``Word`` views, built on first read."""
 
     params: LatticeParams
     order: GenOrder
-    levels: tuple
-    edges: tuple
+    mask_levels: tuple
+
+    def cover_masks(self):
+        """The cover pairs as ``(lo, hi)`` masks, in the order of ``edges``."""
+        pos, neg = _move_tables(self.params, self.order)
+        r = self.params.r
+        low = (1 << r) - 1
+        return (
+            (lo, lo ^ d)
+            for lo in chain.from_iterable(self.mask_levels)
+            for d in pos[lo & low] + neg[lo >> r]
+        )
+
+    @cached_property
+    def levels(self) -> tuple:
+        """The words of each rank level, in canonical order."""
+        params = self.params
+        return tuple(tuple(Word(params, m) for m in level) for level in self.mask_levels)
+
+    @cached_property
+    def edges(self) -> tuple:
+        """The cover pairs as ``(word, child)``, in emission order."""
+        words = {w.mask: w for w in self.words()}
+        return tuple((words[lo], words[hi]) for lo, hi in self.cover_masks())
 
     def words(self):
         """Every word, level by level."""
@@ -103,11 +148,7 @@ class HasseDiagram:
 
 @lru_cache(maxsize=64)
 def _build_cached(params: LatticeParams, order: GenOrder) -> HasseDiagram:
-    mask_levels = _canonical_levels(params, order)
-    words = {m: Word(params, m) for m in chain.from_iterable(mask_levels)}
-    levels = tuple(tuple(map(words.get, level)) for level in mask_levels)
-    edges = tuple((w, words[c]) for m, w in words.items() for c in _child_masks(params, m, order))
-    return HasseDiagram(params, order, levels, edges)
+    return HasseDiagram(params, order, _canonical_levels(params, order))
 
 
 def build(params: LatticeParams, order: GenOrder = GenOrder.OUT_IN) -> HasseDiagram:
@@ -153,9 +194,12 @@ def split_parts(params: LatticeParams) -> LatticeSplit:
 @lru_cache(maxsize=16)
 def _quoted_names(params: LatticeParams) -> tuple:
     """Each word's canonical string in double quotes, indexed by word
-    mask.  The string holds only digits, bars and commas, so the quoted
-    text is at once its DOT identifier and its JSON string."""
-    return tuple(f'"{Word(params, m)}"' for m in range(1 << params.n))
+    mask, built from the texts of its two sides.  The string holds only
+    digits, bars and commas, so the quoted text is at once its DOT
+    identifier and its JSON string."""
+    r, m = params.r, params.num_neg
+    pos = [f'"{_pos_text(r, s)}|' for s in range(1 << r)]
+    return tuple(p + f'{_neg_text(m, s)}"' for s in range(1 << m) for p in pos)
 
 
 def write_dot(diagram: HasseDiagram, fh) -> None:
@@ -168,13 +212,13 @@ def write_dot(diagram: HasseDiagram, fh) -> None:
     """
     names = _quoted_names(diagram.params)
     fh.write("digraph lattice {\n  rankdir=BT;\n  node [shape=box];\n")
-    for level in diagram.levels:
-        row = [names[w.mask] for w in level]
+    for level in diagram.mask_levels:
+        row = [names[m] for m in level]
         if len(row) == 1:
             fh.write(f"  {{ rank=same; {row[0]}; }}\n")
         else:
             fh.write(f"  {{ rank=same; {' -> '.join(row)} [style=invis]; }}\n")
-    fh.writelines(f"  {names[lo.mask]} -> {names[hi.mask]};\n" for lo, hi in diagram.edges)
+    fh.writelines(f"  {names[lo]} -> {names[hi]};\n" for lo, hi in diagram.cover_masks())
     fh.write("}\n")
 
 
@@ -205,11 +249,11 @@ def write_json(diagram: HasseDiagram, fh) -> None:
     item = ",\n      "
     fh.write('{\n  "edges": ')
     fh.writelines(
-        _json_rows(f"{names[lo.mask]}{item}{names[hi.mask]}" for lo, hi in diagram.edges)
+        _json_rows(f"{names[lo]}{item}{names[hi]}" for lo, hi in diagram.cover_masks())
     )
     fh.write(',\n  "levels": ')
     fh.writelines(
-        _json_rows(item.join([names[w.mask] for w in level]) for level in diagram.levels)
+        _json_rows(item.join([names[m] for m in level]) for level in diagram.mask_levels)
     )
     n, r = diagram.params.n, diagram.params.r
     fh.write(

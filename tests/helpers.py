@@ -162,6 +162,24 @@ def ordered_child_vals(params, vals, left_right):
     return out + neg
 
 
+def bit_loop_child_masks(params, mask, left_right):
+    """Masks of the upper covers of the word ``mask``, by scanning its
+    bits: positive trades in descending v, then the pos(1) insertion,
+    then the negative moves, descending j (out-in) or ascending
+    (``left_right``)."""
+    r = params.r
+    # trade pos(v) for an absent pos(v+1)
+    out = [mask ^ 3 << (v - 1) for v in range(r - 1, 0, -1) if mask >> (v - 1) & 3 == 1]
+    if r and not mask & 1:
+        out.append(mask | 1)
+    # drop neg(1); trade neg(j) for an absent neg(j-1), at bits k = r+j-2, k+1
+    neg = [mask ^ 1 << r] if mask >> r & 1 else []
+    neg += [mask ^ 3 << k for k in range(r, params.n - 1) if mask >> k & 3 == 2]
+    if not left_right:
+        neg.reverse()
+    return out + neg
+
+
 def tuple_levels_and_edges(params, left_right):
     """Level-by-level generation on height tuples from the bottom word,
     keeping each child's first occurrence: (levels, edges)."""

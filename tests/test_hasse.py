@@ -29,6 +29,7 @@ from marklat.hasse import (
 
 from helpers import (
     all_words,
+    bit_loop_child_masks,
     brute_cover_pairs,
     oracle_dot,
     oracle_json,
@@ -119,6 +120,20 @@ class TestBuild:
                 for order in GenOrder:
                     want = sorted_levels(p, order is GenOrder.LEFT_RIGHT)
                     assert [list(level) for level in _canonical_levels(p, order)] == want
+
+    def test_cover_masks_match_the_bit_loops_beyond_the_generator(self):
+        for n in range(10, 14):
+            for r in range(0, n + 1):
+                p = LatticeParams(n, r)
+                for order in GenOrder:
+                    left_right = order is GenOrder.LEFT_RIGHT
+                    want = [
+                        (lo, hi)
+                        for level in _canonical_levels(p, order)
+                        for lo in level
+                        for hi in bit_loop_child_masks(p, lo, left_right)
+                    ]
+                    assert list(build(p, order).cover_masks()) == want, (n, r, order)
 
     def test_word_listings_do_not_build_the_diagram(self):
         p = LatticeParams(9, 4)
@@ -272,6 +287,16 @@ class TestWriters:
         misses = hasse._quoted_names.cache_info().misses
         self.written(write_json, d)
         assert hasse._quoted_names.cache_info().misses == misses
+
+    def test_exports_build_no_words(self):
+        hasse._build_cached.cache_clear()
+        d = build(LatticeParams(8, 3), GenOrder.LEFT_RIGHT)
+        self.written(write_dot, d)
+        self.written(write_json, d)
+        assert "levels" not in d.__dict__
+        assert "edges" not in d.__dict__
+        assert len(d.edges) == sum(1 for _ in d.cover_masks())
+        assert "levels" in d.__dict__
 
     def test_memory_stays_below_the_text(self):
         # neither writer holds its whole document: the traced peak of
