@@ -32,6 +32,7 @@ and the extremal numbers are restricted to 1 <= r <= n-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, inf
@@ -42,7 +43,7 @@ from .core import BooleanMap, LatticeParams, Word, _check_d, _d_slice
 # enumerate_words is looked up here by bench/spans.py, which traces it
 from .core import enumerate_words  # noqa: F401
 from .errors import DomainError, ResourceLimitError
-from .feasibility import feasible_point
+from .feasibility import _cleared, feasible_point
 from .weights import NrFunction, induced_map
 
 __all__ = [
@@ -115,11 +116,16 @@ def _cover_shifts(params: LatticeParams) -> tuple:
     labeling mask of the lower words of the covers with that shift, so
     shifting ``x & lows`` by ``shift`` moves each such word of x onto its
     cover."""
+    # one bit per word mask: set each shift's bits in place, convert once
+    size = ((1 << params.n) + 7) >> 3
     lows = {}
     for lo, hi in hasse.build(params).cover_masks():
         shift = hi - lo
-        lows[shift] = lows.get(shift, 0) | 1 << lo
-    return tuple(lows.items())
+        bits = lows.get(shift)
+        if bits is None:
+            bits = lows[shift] = bytearray(size)
+        bits[lo >> 3] |= 1 << (lo & 7)
+    return tuple((shift, int.from_bytes(bits, "little")) for shift, bits in lows.items())
 
 
 def _p_covers(params: LatticeParams, pos: int) -> int:
@@ -333,8 +339,12 @@ def is_representable(bmap: BooleanMap, require_weight: bool = True) -> Represent
     point = feasible_point(rows, n)
     if point is None:
         return RepresentabilityResult(False, None)
-    neg_values = tuple(-1 - v for v in accumulate(point[r:]))
-    witness = NrFunction(params, tuple(accumulate(point[:r])), neg_values)
+    # a mark's value is a prefix sum of increments: sum them in integers
+    # over one common denominator s, then make one Fraction per mark
+    s, ints = _cleared(point)
+    pos_values = tuple(Fraction(p, s) for p in accumulate(ints[:r]))
+    neg_values = tuple(Fraction(-s - p, s) for p in accumulate(ints[r:]))
+    witness = NrFunction(params, pos_values, neg_values)
     if induced_map(witness).mask != pos:
         raise RuntimeError(f"feasibility witness fails to induce the map on {params}")
     return RepresentabilityResult(True, witness)

@@ -12,14 +12,15 @@ objective, so the decision runs the least-index criss-cross rule
 from the slack basis: no artificial columns and no ratio test.  Of the
 rows with a negative right hand side, the one whose basic variable has
 the least index leaves; of the columns with a negative entry in that
-row, the one whose variable has the least index enters.  Variables are
-numbered ``x`` first, then one slack per row.  With a zero objective
-every basis is dual feasible, so this is Bland's rule on the dual
-simplex, and the least-index argument shows it never returns to a
-basis: it terminates.  Rows are taken as given.  An all-zero row needs
-no special case: its slack stays basic, so with a bound >= 0 it never
-pivots, and with a negative bound no pivot repairs it and the walk ends
-on a stuck row.
+row, the one whose variable has the least index enters.  Each is
+found by one scan over the rows or the columns that keeps the least
+index seen so far.  Variables are numbered ``x`` first, then one slack
+per row.  With a zero objective every basis is dual feasible, so this
+is Bland's rule on the dual simplex, and the least-index argument
+shows it never returns to a basis: it terminates.  Rows are taken as
+given.  An all-zero row needs no special case: its slack stays basic,
+so with a bound >= 0 it never pivots, and with a negative bound no
+pivot repairs it and the walk ends on a stuck row.
 
 The tableau is condensed, as in the dictionaries of Avis's ``lrs``: row
 ``i`` holds only the ``num_vars`` nonbasic columns and the right hand
@@ -62,7 +63,7 @@ __all__ = ["feasible_point", "refutes", "satisfies"]
 def _cleared(vector):
     """``(scale, ints)`` with ``ints = scale * vector``: the smallest
     positive integer scale that clears the vector's denominators."""
-    vector = [v if type(v) is int else Fraction(v) for v in vector]
+    vector = [v if type(v) is int or type(v) is Fraction else Fraction(v) for v in vector]
     scale = lcm(*(v.denominator for v in vector))
     return scale, [v.numerator * (scale // v.denominator) for v in vector]
 
@@ -117,15 +118,21 @@ def feasible_point(rows: Sequence, num_vars: int) -> Optional[list]:
     cols = list(range(num_vars))
     basis = list(range(num_vars, num_vars + len(rows)))
     divisor = 1
+    # no variable has this index: a least-index scan starts from it
+    past_last = num_vars + len(rows)
     while True:
-        negative = (i for i, t in enumerate(tableau) if t[-1] < 0)
-        leaving = min(negative, key=basis.__getitem__, default=None)
+        leaving, least = None, past_last
+        for i, t in enumerate(tableau):
+            if t[-1] < 0 and basis[i] < least:
+                leaving, least = i, basis[i]
         if leaving is None:
             break
         pivot_row = tableau[leaving]
-        entering = min(
-            (j for j in range(num_vars) if pivot_row[j] < 0), key=cols.__getitem__, default=None
-        )
+        # zip stops at the last variable column, before the bound
+        entering, least = None, past_last
+        for j, (a, var) in enumerate(zip(pivot_row, cols)):
+            if a < 0 and var < least:
+                entering, least = j, var
         if entering is None:
             # the stuck row: its slack entries are Farkas multipliers,
             # D at its own basic slack and 0 at every other basic one

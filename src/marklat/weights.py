@@ -123,6 +123,8 @@ class NrFunction:
 
 
 def _as_fraction(value, what: str) -> Fraction:
+    if type(value) is Fraction:
+        return value
     if isinstance(value, (bool, float)):
         raise ValidationError(
             f"{what} must be exact (int, string or Fraction), got {type(value).__name__}"
@@ -168,10 +170,8 @@ def induced_map(f: NrFunction):
     # of the same sign; sums[m] is the sum over the marks in mask m
     scale = lcm(*(v.denominator for v in f._by_bit))
     sums = _subset_sums(0, [v.numerator * (scale // v.denominator) for v in f._by_bit])
-    mask = 0
-    for m, s in enumerate(sums):
-        if s >= 0:
-            mask |= 1 << m
+    # bit m of the mask is word m's sign: read the signs highest mask first
+    mask = int("".join(["1" if s >= 0 else "0" for s in reversed(sums)]), 2)
     return BooleanMap._from_mask(f.params, mask)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import random
 import sys
@@ -20,6 +21,7 @@ from marklat.boolmaps import (
     psi,
     report_to_json,
     wb_vs_rwb_report,
+    _cover_shifts,
     _tables,
 )
 from marklat.core import (
@@ -176,6 +178,17 @@ class TestCheckAxioms:
                     scan = any(up[m] & ~mask for m in range(1 << n) if mask >> m & 1)
                     chk = check_axioms(BooleanMap._from_mask(p, mask))
                     assert ("monotone" in chk.violated) == scan
+
+    def test_cover_shifts_match_the_or_fold(self):
+        # the byte-built lows equal one OR per cover pair, in first-seen
+        # shift order, on every L(n, r), n <= 10
+        for n in range(0, 11):
+            for r in range(0, n + 1):
+                p = LatticeParams(n, r)
+                lows = {}
+                for lo, hi in build(p).cover_masks():
+                    lows[hi - lo] = lows.get(hi - lo, 0) | 1 << lo
+                assert _cover_shifts(p) == tuple(lows.items())
 
     def test_all_p_fails_negative_unit_only(self):
         p = LatticeParams(3, 1)
@@ -384,6 +397,26 @@ class TestRepresentability:
         for (n, r), counts in weighted.items():
             maps = list(enumerate_wbm(LatticeParams(n, r), n_guard=6))
             assert (len(maps), weight_verdicts(maps)) == counts
+
+    def test_witnesses_are_byte_identical(self):
+        # one sha256 over the verdict and the witness strings of every
+        # weighted labeling of L(n, r), 2 <= n <= 6, in walk order: pinned
+        # before the witness was built in integers over one denominator
+        digest = hashlib.sha256()
+        count = 0
+        for n in range(2, 7):
+            for r in range(0, n + 1):
+                for m in enumerate_wbm(LatticeParams(n, r), n_guard=6):
+                    res = is_representable(m)
+                    f = res.witness
+                    pos = ",".join(map(str, f.pos_values)) if f else ""
+                    neg = ",".join(map(str, f.neg_values)) if f else ""
+                    digest.update(f"{res.status}|{pos}|{neg}\n".encode())
+                    count += 1
+        assert count == 4426
+        assert digest.hexdigest() == (
+            "62998e0aaa003678c37363884f84a5eb112c7615da8dc2a39ee31eaef16c17ea"
+        )
 
     def test_no_all_zero_row_is_posed(self, monkeypatch):
         # the zero word sums to 0 in every valuation: as a minimal P word

@@ -60,6 +60,22 @@ class TestValidation:
         with pytest.raises(ValidationError, match="float"):
             NrFunction(LatticeParams(2, 1), (0.5,), (F(-1),))
 
+    def test_rejects_bools(self):
+        with pytest.raises(ValidationError, match="bool"):
+            NrFunction(LatticeParams(2, 1), (True,), (F(-1),))
+        with pytest.raises(ValidationError, match="bool"):
+            NrFunction(LatticeParams(2, 1), (F(1),), (False,))
+
+    def test_fractions_equal_their_strings(self):
+        # a Fraction is taken as it is; every other input is converted
+        p = LatticeParams(5, 2)
+        pos, neg = (F(0), F(7, 3)), (F(-1, 2), F(-1, 2), F(-9, 4))
+        f = NrFunction(p, pos, neg)
+        g = NrFunction(p, tuple(map(str, pos)), tuple(map(str, neg)))
+        assert f == g
+        assert all(a is b for a, b in zip(f.pos_values + f.neg_values, pos + neg))
+        assert {type(v) for v in g.pos_values + g.neg_values} == {F}
+
     def test_rejects_wrong_lengths(self):
         with pytest.raises(ValidationError):
             fn(3, 1, [1, 2], [-1])
@@ -123,7 +139,8 @@ class TestSigma:
 class TestCounts:
     def test_alpha_and_phi_match_direct_counts(self):
         rng = random.Random(SEED)
-        for n, r in [(4, 1), (5, 2), (6, 3)]:
+        # every width and both end bits: r = 0 and r = n included
+        for n, r in [(n, r) for n in range(1, 9) for r in range(n + 1)]:
             p = LatticeParams(n, r)
             words = all_words(p)
             for _ in range(10):
