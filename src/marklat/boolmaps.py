@@ -43,7 +43,7 @@ from .core import BooleanMap, LatticeParams, Word, _check_d, _d_slice
 # enumerate_words is looked up here by bench/spans.py, which traces it
 from .core import enumerate_words  # noqa: F401
 from .errors import DomainError, ResourceLimitError
-from .feasibility import _cleared, feasible_point
+from .feasibility import feasible_point
 from .weights import NrFunction, induced_map
 
 __all__ = [
@@ -340,8 +340,8 @@ def is_representable(bmap: BooleanMap, require_weight: bool = True) -> Represent
     if point is None:
         return RepresentabilityResult(False, None)
     # a mark's value is a prefix sum of increments: sum them in integers
-    # over one common denominator s, then make one Fraction per mark
-    s, ints = _cleared(point)
+    # over the point's divisor s, then make one Fraction per mark
+    ints, s = point
     pos_values = tuple(Fraction(p, s) for p in accumulate(ints[:r]))
     neg_values = tuple(Fraction(-s - p, s) for p in accumulate(ints[r:]))
     witness = NrFunction(params, pos_values, neg_values)

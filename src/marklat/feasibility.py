@@ -6,8 +6,11 @@ variables; every coefficient and bound is an int, and anything else,
 a Fraction or a bool included, raises `TypeError`: scale a rational row
 by the common multiple of its own denominators first, which changes no
 sign the rule below reads.  ``feasible_point`` either returns one
-exact solution ``x >= 0`` or proves there is none.  There is no
-objective, so the decision runs the least-index criss-cross rule
+exact solution ``x >= 0`` or proves there is none.  The solution comes
+back in integers too, as ``(values, divisor)`` meaning ``x[k] =
+values[k] / divisor``, with ``divisor >= 1`` and the pair in lowest
+terms, so one point has one spelling.  There is no objective, so the
+decision runs the least-index criss-cross rule
 (Terlaky 1985; Fukuda and Terlaky, Math. Programming 79, 1997) straight
 from the slack basis: no artificial columns and no ratio test.  Of the
 rows with a negative right hand side, the one whose basic variable has
@@ -39,42 +42,35 @@ have in the leaving variable's column.  When ``q == D``, as in most
 pivots on rows of 0, 1 and -1, the update is ``T_i + T_i[c] T_r // D``
 and changes only the pivot row's nonzero columns.
 
-Both answers are certified.  A returned point is checked against every
-row and for signs with `satisfies`.  When the leaving row has no
-negative entry, it reads "basic variable plus a nonnegative combination
-of the others equals a negative number", and its slack entries, a row
-of the basis inverse, are Farkas multipliers ``y >= 0`` with
-``y A >= 0`` and ``y b < 0``: the entries of its nonbasic slack
-columns, ``D`` at its own basic variable if that is a slack, and 0 at
-every other basic slack.  `refutes` checks them before None is
-returned.
+Both answers are certified.  `satisfies` checks a returned point in
+integers over its divisor: ``values >= 0``, ``divisor > 0`` and
+``coeffs . values <= bound * divisor`` for every row.  When the
+leaving row has no negative entry, it reads "basic variable plus a
+nonnegative combination of the others equals a negative number", and
+its slack entries, a row of the basis inverse, are Farkas multipliers
+``y >= 0`` with ``y A >= 0`` and ``y b < 0``: the entries of its
+nonbasic slack columns, ``D`` at its own basic variable if that is a
+slack, and 0 at every other basic slack.  `refutes` checks them before
+None is returned.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
+from math import gcd
 from operator import mul
 from typing import Optional, Sequence
 
 __all__ = ["feasible_point", "refutes", "satisfies"]
 
 
-def _cleared(vector):
-    """``(scale, ints)`` with ``ints = scale * vector``: the smallest
-    positive integer scale that clears the vector's denominators."""
-    vector = [v if type(v) is int or type(v) is Fraction else Fraction(v) for v in vector]
-    scale = lcm(*(v.denominator for v in vector))
-    return scale, [v.numerator * (scale // v.denominator) for v in vector]
-
-
-def satisfies(rows: Sequence, point: Sequence) -> bool:
-    """Exact check that the point is nonnegative and meets every row, each as long as the point."""
-    scale, ints = _cleared(point)
-    if any(v < 0 for v in ints):
+def satisfies(rows: Sequence, point: tuple) -> bool:
+    """Exact check that the point ``(values, divisor)`` is nonnegative
+    and meets every row, each as long as the values."""
+    values, divisor = point
+    if divisor <= 0 or any(v < 0 for v in values):
         return False
     return all(
-        len(coeffs) == len(ints) and sum(map(mul, coeffs, ints)) <= bound * scale
+        len(coeffs) == len(values) and sum(map(mul, coeffs, values)) <= bound * divisor
         for coeffs, bound in rows
     )
 
@@ -85,13 +81,13 @@ def refutes(rows: Sequence, y: Sequence) -> bool:
     Farkas: with ``y >= 0``, ``sum_i y_i coeffs_i >= 0`` on every
     variable and ``sum_i y_i bound_i < 0``, any point ``x >= 0``
     satisfying every row would give ``0 <= sum_i y_i bound_i < 0``.
+    No sign depends on the scale of ``y``, so it is read as given.
     """
-    _, ints = _cleared(y)
-    if len(ints) != len(rows) or any(v < 0 for v in ints):
+    if len(y) != len(rows) or any(v < 0 for v in y):
         return False
     combined = [0] * max((len(coeffs) for coeffs, _ in rows), default=0)
     total = 0
-    for v, (coeffs, bound) in zip(ints, rows):
+    for v, (coeffs, bound) in zip(y, rows):
         if v:
             for k, c in enumerate(coeffs):
                 combined[k] += v * c
@@ -99,9 +95,10 @@ def refutes(rows: Sequence, y: Sequence) -> bool:
     return total < 0 and all(c >= 0 for c in combined)
 
 
-def feasible_point(rows: Sequence, num_vars: int) -> Optional[list]:
-    """One exact solution ``x >= 0`` of ``coeffs . x <= bound`` rows, or
-    None.  The returned point is deterministic for a given system."""
+def feasible_point(rows: Sequence, num_vars: int) -> Optional[tuple[list[int], int]]:
+    """One exact solution ``x >= 0`` of ``coeffs . x <= bound`` rows as
+    ``(values, divisor)`` in lowest terms, or None.  The returned point
+    is deterministic for a given system."""
     if num_vars < 0:
         raise ValueError(f"num_vars must be nonnegative, got {num_vars}")
     # columns: the nonbasic variables cols[j], then the right hand side;
@@ -170,7 +167,8 @@ def feasible_point(rows: Sequence, num_vars: int) -> Optional[list]:
     for t, b in zip(tableau, basis):
         if b < num_vars:
             values[b] = t[-1]
-    solution = [Fraction(v, divisor) for v in values]
-    if not satisfies(rows, solution):
+    g = gcd(divisor, *values)
+    point = [v // g for v in values], divisor // g
+    if not satisfies(rows, point):
         raise RuntimeError("criss-cross solution fails its own rows; the tableau is corrupt")
-    return solution
+    return point

@@ -567,6 +567,17 @@ class TestGamma:
             assert g.value == gamma_tilde(p, n_guard=n).value == (1 << (n - 1)) + 1
             assert induced_map(g.witness).mask == g.minimizer.mask
 
+    def test_f85_is_optimal_on_its_slice(self):
+        # the bundled valuation induces 16 P words with 5 marks on
+        # L(8, 5), and no weighted representable labeling has fewer
+        from marklat.weights import load_f85
+
+        g = gamma_d(LatticeParams(8, 5), 5, n_guard=8)
+        assert g.value == 16
+        assert g.minimizer.p_count_d(5) == 16
+        assert g.minimizer.mask == induced_map(load_f85()).mask
+        assert induced_map(g.witness) == g.minimizer
+
     def test_the_floor_closes_the_walk(self, monkeypatch):
         # no weighted labeling of L(8, 4) holds fewer than 2^7 + 1 P
         # words: the first leaf reaches that, so the walk stops there

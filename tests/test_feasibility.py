@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -25,19 +25,22 @@ def integer_rows(rows):
 def check(rows, num_vars):
     point = feasible_point(rows, num_vars)
     if point is not None:
-        assert len(point) == num_vars
-        assert all(isinstance(v, F) for v in point)
+        values, divisor = point
+        assert len(values) == num_vars
+        assert all(type(v) is int for v in values)
+        assert type(divisor) is int and divisor >= 1
+        assert gcd(divisor, *values) == 1
         assert satisfies(rows, point)
     return point
 
 
 class TestSmallSystems:
     def test_empty_system(self):
-        assert feasible_point([], 2) == [0, 0]
+        assert feasible_point([], 2) == ([0, 0], 1)
 
     def test_pinned_value(self):
         point = check([((1,), 3), ((-1,), -3)], 1)
-        assert point == [3]
+        assert point == ([3], 1)
 
     def test_simple_infeasible(self):
         assert feasible_point([((1,), 0), ((-1,), -1)], 1) is None
@@ -51,15 +54,15 @@ class TestSmallSystems:
     def test_two_variables(self):
         # x + y <= 2, -x <= -1, -y <= -1 forces x = y = 1
         point = check([((1, 1), 2), ((-1, 0), -1), ((0, -1), -1)], 2)
-        assert point == [1, 1]
+        assert point == ([1, 1], 1)
 
     def test_strict_gap_needs_elimination(self):
         # x - y <= -1, y - z <= -1, z <= 5, -x <= 0: chain with room
-        point = check(
+        values, divisor = check(
             [((1, -1, 0), -1), ((0, 1, -1), -1), ((0, 0, 1), 5), ((-1, 0, 0), 0)],
             3,
         )
-        assert point[0] < point[1] < point[2]
+        assert F(values[0], divisor) < F(values[1], divisor) < F(values[2], divisor)
 
     def test_infeasible_chain(self, monkeypatch):
         # x <= y - 1 <= z - 2 and z <= x: impossible
@@ -72,8 +75,8 @@ class TestSmallSystems:
         assert y[0] > 0 and y == [y[0]] * 3
 
     def test_fractional_data(self):
-        point = check(integer_rows([((F(1, 3),), F(1, 2)), ((-1,), F(-3, 2))]), 1)
-        assert F(3, 2) <= point[0] <= F(3, 2)
+        [value], divisor = check(integer_rows([((F(1, 3),), F(1, 2)), ((-1,), F(-3, 2))]), 1)
+        assert F(3, 2) <= F(value, divisor) <= F(3, 2)
 
     def test_unbounded_direction_still_yields_point(self):
         point = check([((-1, 0), 0)], 2)
@@ -97,7 +100,7 @@ class TestSmallSystems:
             ((half, 1), F(3, 2)),
             ((-half, -1), F(-3, 2)),
         ]
-        assert check(integer_rows(rows), 2) == [1, 1]
+        assert check(integer_rows(rows), 2) == ([1, 1], 1)
 
     def test_refutes_checks_farkas_multipliers(self):
         # x <= 0 and -x <= -1: adding the rows gives 0 <= -1
@@ -117,10 +120,14 @@ class TestSmallSystems:
         # certifies that: y A = 1 >= 0 while y b = -1 < 0
         assert feasible_point([((1,), -1)], 1) is None
         assert refutes([((1,), -1)], (1,))
-        assert not satisfies([], [F(-1)])
+        assert not satisfies([], ([-1], 1))
+        # a divisor <= 0 is no point: ([1], -1) would be x = -1
+        assert satisfies([((-1,), 0)], ([1], 1))
+        assert not satisfies([((-1,), 0)], ([1], -1))
+        assert not satisfies([], ([0], 0))
         # a point of the wrong length meets no row
-        assert not satisfies([((1, 1), 0)], [F(0)])
-        assert not satisfies([((1,), 0)], [F(0), F(0)])
+        assert not satisfies([((1, 1), 0)], ([0], 1))
+        assert not satisfies([((1,), 0)], ([0, 0], 1))
 
     def test_refutation_check_survives_optimization(self, monkeypatch):
         # an infeasible answer is certified by an explicit raise, not an
@@ -272,9 +279,7 @@ def fraction_contradiction_systems():
 class TestRandomized:
     def test_planted_solutions_are_found(self):
         for rows, num_vars in planted_systems():
-            point = feasible_point(rows, num_vars)
-            assert point is not None
-            assert satisfies(rows, point)
+            assert check(rows, num_vars) is not None
 
     def test_planted_contradictions_are_rejected(self):
         for rows, num_vars in contradiction_systems():
@@ -377,5 +382,9 @@ def test_condensed_tableau_takes_the_full_tableaus_pivots(monkeypatch, systems):
         certificates.clear()
         point = feasible_point(rows, num_vars)
         want_point, want_y = full_tableau_point(rows, num_vars)
-        assert point == want_point
+        if point is None:
+            assert want_point is None
+        else:
+            values, divisor = point
+            assert [F(v, divisor) for v in values] == want_point
         assert [y for y, _ in certificates] == ([] if want_y is None else [want_y])
