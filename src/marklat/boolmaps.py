@@ -19,10 +19,10 @@ d-mark slice) over all weighted labelings (gamma_tilde) or over the
 representable ones (gamma).
 
 One walk over the weighted labelings, an explicit-stack search over
-those masks, sits behind ``enumerate_wbm``; every minimum and the
-report fold that walk in a loop of their own.  The report visits every
-labeling; a minimum hands the walk an incumbent, so the walk cuts the
-subtrees that cannot beat the best labeling found so far.
+those masks, sits behind ``enumerate_wbm``.  Every minimum, the
+report's two included, is one branch and bound over it, ``_minimum``:
+the walk cuts the subtrees that cannot beat the best labeling found so
+far.  The report's own loop is a census that only counts labelings.
 
 These notions degenerate when no negative mark exists (r = n): the
 negative witness word is missing, so enumeration yields nothing there
@@ -197,6 +197,12 @@ class _Incumbent:
         self.size = inf
 
 
+def _check_limits(cap, n_guard) -> None:
+    """A domain error unless cap and n_guard are ints and cap >= 0."""
+    if type(cap) is not int or type(n_guard) is not int or cap < 0:
+        raise DomainError(f"need an int cap >= 0 and an int n_guard, got {cap!r} and {n_guard!r}")
+
+
 def enumerate_wbm(
     params: LatticeParams,
     cap: int = DEFAULT_CAP,
@@ -216,8 +222,7 @@ def enumerate_wbm(
     labelings smaller than its current size on its slice are yielded and
     counted against ``cap``.
     """
-    if type(cap) is not int or type(n_guard) is not int or cap < 0:
-        raise DomainError(f"need an int cap >= 0 and an int n_guard, got {cap!r} and {n_guard!r}")
+    _check_limits(cap, n_guard)
     if params.n > n_guard:
         raise ResourceLimitError(
             f"out of desk scale: n={params.n} exceeds the enumeration guard "
@@ -439,12 +444,8 @@ def gamma(params, *, cap=DEFAULT_CAP, n_guard=DEFAULT_N_GUARD) -> ExtremalResult
     """Minimum P-region size over the representable weighted labelings.
 
     This equals the minimum of alpha over weight valuations: restricting
-    to induced labelings does not change the minimum.
-
-    Like every minimum here, the search is a branch and bound over the
-    labeling walk that runs the LP only on labelings smaller than the
-    best so far: the minimizer is the first in walk order, as in a full
-    census, and ``cap`` counts only the labelings reached.
+    to induced labelings does not change the minimum.  The search, and
+    what ``cap`` counts, is that of every minimum: see :func:`_minimum`.
     """
     return _minimum(params, None, True, cap, n_guard)
 
@@ -470,6 +471,7 @@ def psi(n: int, d: int, *, cap=DEFAULT_CAP, n_guard=DEFAULT_N_GUARD) -> Extremal
     if type(n) is not int or n < 1:
         raise DomainError(f"need an int n >= 1, got n={n!r}")
     _check_d(d, n)
+    _check_limits(cap, n_guard)
     floor = _floor(n, d, True)
     best = None
     for r in range(1, n):
@@ -486,16 +488,16 @@ def psi(n: int, d: int, *, cap=DEFAULT_CAP, n_guard=DEFAULT_N_GUARD) -> Extremal
 
 @dataclass(frozen=True)
 class ExtremalReport:
-    """One full pass over the weighted labelings of a lattice."""
+    """The census of a lattice's weighted labelings with both minima."""
 
     params: LatticeParams
     d: Optional[int]
     wb_count: int
     rwb_count: int
-    gamma_tilde: Optional[int]
-    gamma: Optional[int]
-    minimizer: Optional[BooleanMap]
-    witness: Optional[NrFunction]
+    gamma_tilde: int
+    gamma: int
+    minimizer: BooleanMap
+    witness: NrFunction
     # the maps that are not representable, or None when not collected
     non_representable: Optional[tuple]
 
@@ -508,31 +510,28 @@ def wb_vs_rwb_report(
     n_guard: int = DEFAULT_N_GUARD,
     collect_non_representable: bool = True,
 ) -> ExtremalReport:
-    """Enumerate every weighted labeling once, recording representability,
-    both extremal minima, and (optionally) each non-representable map."""
-    slice_mask = _slice_mask(params, d)
+    """Count every weighted labeling (``cap`` bounds them all) and the
+    representable ones, keeping (optionally) the others; the minima, the
+    minimizer and its witness come from :func:`_minimum`, as in ``gamma_d``."""
+    _slice_mask(params, d)
     wb = rwb = 0
-    best_tilde = best_gamma = minimizer = witness = None
     bad = [] if collect_non_representable else None
     for bmap in enumerate_wbm(params, cap=cap, n_guard=n_guard):
-        size = (bmap.mask & slice_mask).bit_count()
         wb += 1
-        if best_tilde is None or size < best_tilde:
-            best_tilde = size
-        res = is_representable(bmap)
-        if res.representable:
+        if is_representable(bmap).representable:
             rwb += 1
-            if best_gamma is None or size < best_gamma:
-                best_gamma, minimizer, witness = size, bmap, res.witness
         elif bad is not None:
             bad.append(bmap)
-    if wb == rwb and best_tilde != best_gamma:
+    tilde, exact = (_minimum(params, d, rwb_only, cap, n_guard) for rwb_only in (False, True))
+    if wb == rwb and tilde.value != exact.value:
         raise RuntimeError(
             "consistency violated: every labeling is representable but the "
-            f"two minima differ ({best_tilde} vs {best_gamma}) on {params}"
+            f"two minima differ ({tilde.value} vs {exact.value}) on {params}"
         )
     bad = None if bad is None else tuple(bad)
-    return ExtremalReport(params, d, wb, rwb, best_tilde, best_gamma, minimizer, witness, bad)
+    return ExtremalReport(
+        params, d, wb, rwb, tilde.value, exact.value, exact.minimizer, exact.witness, bad
+    )
 
 
 def map_to_json(bmap: BooleanMap) -> dict:
@@ -550,7 +549,7 @@ def report_to_json(report: ExtremalReport) -> dict:
         "d": report.d,
         "gamma_tilde": report.gamma_tilde,
         "gamma": report.gamma,
-        "minimizer": map_to_json(report.minimizer) if report.minimizer else None,
+        "minimizer": map_to_json(report.minimizer),
         "wb_count": report.wb_count,
         "rwb_count": report.rwb_count,
     }

@@ -99,6 +99,8 @@ def feasible_point(rows: Sequence, num_vars: int) -> Optional[tuple[list[int], i
     """One exact solution ``x >= 0`` of ``coeffs . x <= bound`` rows as
     ``(values, divisor)`` in lowest terms, or None.  The returned point
     is deterministic for a given system."""
+    if type(num_vars) is not int:
+        raise TypeError(f"num_vars must be an int, got {num_vars!r}")
     if num_vars < 0:
         raise ValueError(f"num_vars must be nonnegative, got {num_vars}")
     # columns: the nonbasic variables cols[j], then the right hand side;

@@ -1,12 +1,14 @@
 import dataclasses
 import hashlib
 import itertools
+import json
 import random
 import sys
 from math import comb
 
 import pytest
 
+from marklat import boolmaps
 from marklat.boolmaps import (
     BooleanMap,
     ExtremalResult,
@@ -732,6 +734,13 @@ class TestPsi:
         with pytest.raises(DomainError, match="int n"):
             psi("3", 1)
 
+    @pytest.mark.parametrize("limits", [{"cap": "x"}, {"cap": -1}, {"n_guard": 2.5}])
+    def test_bad_limits_rejected_before_the_loop_over_r(self, limits):
+        # n = 1 enumerates no r, so the limits once went unchecked there
+        for n in (1, 2):
+            with pytest.raises(DomainError, match="cap"):
+                psi(n, 1, **limits)
+
 
 class TestReport:
     def test_counts_and_consistency(self):
@@ -746,6 +755,20 @@ class TestReport:
         assert induced_map(rep.witness).p_set == rep.minimizer.p_set
         for bad in rep.non_representable:
             assert not is_representable(bad).representable
+
+    def test_consistency_check_compares_the_two_minima(self, monkeypatch):
+        # every one of the 8 weighted labelings of L(4, 2) is representable,
+        # so minima that differ there are a fault, not a result
+        p = LatticeParams(4, 2)
+        rep = wb_vs_rwb_report(p)
+        assert rep.wb_count == rep.rwb_count == 8
+
+        def disagreeing(params, d, representable, cap, n_guard):
+            return ExtremalResult(9 + representable, rep.minimizer, rep.witness)
+
+        monkeypatch.setattr(boolmaps, "_minimum", disagreeing)
+        with pytest.raises(RuntimeError, match="consistency violated"):
+            wb_vs_rwb_report(p)
 
     def test_collect_flag(self):
         p = LatticeParams(3, 1)
@@ -781,6 +804,29 @@ class TestReport:
         doc = map_to_json(m)
         order = [str(w) for w in enumerate_words(p)]
         assert doc["p_set"] == [s for s in order if parse_word(p, s) in m.p_set]
+
+    def test_reports_are_byte_identical(self):
+        # one sha256 over the JSON report in both collect modes and the
+        # witness string, for every L(n, r) with 2 <= n <= 5 and every d:
+        # pinned while the report still folded its own minima
+        digest = hashlib.sha256()
+        count = 0
+        for n in range(2, 6):
+            for r in range(1, n):
+                p = LatticeParams(n, r)
+                for d in (None, *range(1, n + 1)):
+                    for collect in (True, False):
+                        rep = wb_vs_rwb_report(p, d, collect_non_representable=collect)
+                        digest.update(json.dumps(report_to_json(rep)).encode())
+                    f = rep.witness
+                    pos = ",".join(map(str, f.pos_values))
+                    neg = ",".join(map(str, f.neg_values))
+                    digest.update(f"|{pos}|{neg}\n".encode())
+                    count += 1
+        assert count == 50
+        assert digest.hexdigest() == (
+            "be1d903eaaeac82fb37d0d68b813151a07e02c3b8946975d952bb0d9da6e5bf8"
+        )
 
 
 class TestUniqueSmallLattices:

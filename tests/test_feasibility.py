@@ -189,6 +189,14 @@ class TestRowsAsGiven:
         with pytest.raises(TypeError):
             feasible_point([((1,), bad)], 1)
 
+    @pytest.mark.parametrize("bad", [True, 2.0])
+    def test_rejects_a_non_int_variable_count(self, bad):
+        # True once passed as 1 and returned the point ([0], 1)
+        with pytest.raises(TypeError):
+            feasible_point([], bad)
+        with pytest.raises(TypeError):
+            feasible_point([((1,), 1)], bad)
+
 
 def record_refutes(monkeypatch):
     """Replace `refutes` by a wrapper that records each ``(y, verdict)``."""
