@@ -19,10 +19,10 @@ d-mark slice) over all weighted labelings (gamma_tilde) or over the
 representable ones (gamma).
 
 One walk over the weighted labelings, an explicit-stack search over
-those masks, sits behind ``enumerate_wbm``.  Every minimum, the
-report's two included, is one branch and bound over it, ``_minimum``:
-the walk cuts the subtrees that cannot beat the best labeling found so
-far.  The report's own loop is a census that only counts labelings.
+those masks, sits behind ``enumerate_wbm``.  Every minimum (the
+report's two, psi's over all r) is one branch and bound over it,
+``_lower``: the walk cuts the subtrees that cannot beat the best
+labeling found so far.  The report's own loop only counts labelings.
 
 These notions degenerate when no negative mark exists (r = n): the
 negative witness word is missing, so enumeration yields nothing there
@@ -80,9 +80,16 @@ class AxiomCheck:
     violated: tuple
 
 
+def _params_of(bmap) -> LatticeParams:
+    """A labeling's lattice; a domain error for anything else (a Word)."""
+    if not isinstance(bmap, BooleanMap):
+        raise DomainError(f"need a BooleanMap, got {type(bmap).__name__}")
+    return bmap.params
+
+
 def check_axioms(bmap: BooleanMap) -> AxiomCheck:
     """Check the five labeling conditions, reporting every violated one."""
-    params = bmap.params
+    params = _params_of(bmap)
     if params.num_neg == 0:
         raise DomainError(
             "labeling conditions are unspecified without a negative mark (r = n)"
@@ -186,15 +193,14 @@ def _tables(params: LatticeParams):
 
 
 class _Incumbent:
-    """The size of a minimum's best labeling so far, on a slice mask: the
-    minimum lowers ``size`` and the walk cuts every state whose P-region
-    already holds ``size`` words of ``slice``."""
+    """The best result so far of a minimum, or of ``psi`` across r, and
+    its size on a slice mask: the walk cuts every state whose P-region
+    already holds ``size`` words of ``slice``, and :func:`_lower` lowers it."""
 
-    __slots__ = ("slice", "size")
+    __slots__ = ("slice", "size", "best")
 
-    def __init__(self, slice_mask: int):
-        self.slice = slice_mask
-        self.size = inf
+    def __init__(self, slice_mask: int, size=inf):
+        self.slice, self.size, self.best = slice_mask, size, None
 
 
 def _check_limits(cap, n_guard) -> None:
@@ -218,9 +224,9 @@ def enumerate_wbm(
     are ints and ``cap >= 0``.  At r = n the conditions are unspecified
     (no negative mark), so nothing is yielded.
 
-    ``_incumbent`` is an extremal minimum's own: with it, only the
-    labelings smaller than its current size on its slice are yielded and
-    counted against ``cap``.
+    ``_incumbent`` is a minimum's best so far, or ``psi``'s across r:
+    only the labelings below its size on its slice, as the caller lowers
+    it, are yielded and counted against ``cap``.
     """
     _check_limits(cap, n_guard)
     if params.n > n_guard:
@@ -302,7 +308,7 @@ def is_representable(bmap: BooleanMap, require_weight: bool = True) -> Represent
     simply comes back not-representable.  A returned witness is verified
     to induce the map letter for letter before it is handed out.
     """
-    params = bmap.params
+    params = _params_of(bmap)
     n, r = params.n, params.r
     pos = bmap.mask
     neg = ((1 << (1 << n)) - 1) ^ pos
@@ -399,35 +405,34 @@ def _floor(n: int, d: Optional[int], representable: bool) -> Optional[int]:
     return None
 
 
-def _minimum(params, d, representable, cap, n_guard) -> ExtremalResult:
-    """The least P-region size on the d-mark slice (all words when d is
-    None) over the weighted labelings, or over the representable ones.
-
-    A branch and bound over the labeling walk: the walk cuts each
-    subtree whose forced P-words reach the incumbent's size, so every
-    labeling it yields is strictly smaller than the best so far, and
-    only those get an LP.  The walk order is that of a full census, so
-    the minimizer and its witness are the census's first; ``cap``
-    counts only the labelings reached.  A minimum also stops at its
-    floor, once the incumbent has that size, since no later labeling is
-    smaller; see :func:`_floor`.
+def _lower(incumbent, params, representable, floor, cap, n_guard) -> None:
+    """Lower the incumbent over the walk on ``params``, a branch and bound:
+    the walk yields, and counts against ``cap``, only labelings below its
+    size, and each (if ``representable``, each that the LP accepts, with
+    its witness) becomes its best.  The walk order is a full census's, so
+    the best is the census's first of least size, when that size is below
+    the start.  It stops at ``floor``, which nothing goes below.
     """
-    incumbent = _Incumbent(_slice_mask(params, d))
-    floor = _floor(params.n, d, representable)
-    found = witness = None
     for bmap in enumerate_wbm(params, cap=cap, n_guard=n_guard, _incumbent=incumbent):
+        witness = None
         if representable:
-            res = is_representable(bmap)
-            if not res.representable:
+            witness = is_representable(bmap).witness
+            if witness is None:
                 continue
-            witness = res.witness
-        found = bmap
         incumbent.size = (bmap.mask & incumbent.slice).bit_count()
+        incumbent.best = ExtremalResult(incumbent.size, bmap, witness)
         if incumbent.size == floor:
             break
-    if found is None:
+
+
+def _minimum(params, d, representable, cap, n_guard) -> ExtremalResult:
+    """The least P-region size on the d-mark slice (all words when d is
+    None) over the weighted or the representable labelings; see :func:`_lower`."""
+    incumbent = _Incumbent(_slice_mask(params, d))
+    _lower(incumbent, params, representable, _floor(params.n, d, representable), cap, n_guard)
+    if incumbent.best is None:
         raise DomainError(f"no admissible labeling exists for {params}")
-    return ExtremalResult(incumbent.size, found, witness)
+    return incumbent.best
 
 
 def gamma_tilde(params, *, cap=DEFAULT_CAP, n_guard=DEFAULT_N_GUARD) -> ExtremalResult:
@@ -460,30 +465,25 @@ def gamma_d(params, d, *, cap=DEFAULT_CAP, n_guard=DEFAULT_N_GUARD) -> ExtremalR
 def psi(n: int, d: int, *, cap=DEFAULT_CAP, n_guard=DEFAULT_N_GUARD) -> ExtremalResult:
     """Minimize gamma_d over r.
 
-    r runs over 1..n-1 by enumeration; the r = n endpoint contributes the
-    closed form C(n, d) (with no negative mark every word sums >= 0), which
-    never beats the enumerated range for n >= 2.  For n = 1 the closed form
-    is the only candidate and no minimizing labeling exists (minimizer is
-    None).  When d divides n the loop over r ends once the minimum reaches
-    the Manickam-Singhi floor C(n-1, d-1) (JCTA 48, 1988): no later r can
-    go below it, and ties keep the earlier r.
+    The walks for r = 1..n-1 share one incumbent, so each r yields only
+    labelings below the best of the earlier r (``cap`` counts those) and
+    the first r to reach the minimum keeps it.  The r = n endpoint's
+    closed form C(n, d) (no negative mark, so every word sums >= 0) sets
+    the start size C(n, d) + 1; it is the result, with no minimizer, only
+    at n = 1.  When d divides n the loop ends at the Manickam-Singhi floor
+    C(n-1, d-1) (JCTA 48, 1988): no later r can go below it.
     """
     if type(n) is not int or n < 1:
         raise DomainError(f"need an int n >= 1, got n={n!r}")
     _check_d(d, n)
     _check_limits(cap, n_guard)
     floor = _floor(n, d, True)
-    best = None
+    incumbent = _Incumbent(_d_slice(n, d), comb(n, d) + 1)
     for r in range(1, n):
-        res = gamma_d(LatticeParams(n, r), d, cap=cap, n_guard=n_guard)
-        if best is None or res.value < best.value:
-            best = res
-        if best.value == floor:
+        _lower(incumbent, LatticeParams(n, r), True, floor, cap, n_guard)
+        if incumbent.size == floor:
             break
-    closed_form = comb(n, d)
-    if best is None or closed_form < best.value:
-        best = ExtremalResult(closed_form, None, None)
-    return best
+    return incumbent.best or ExtremalResult(comb(n, d), None, None)
 
 
 @dataclass(frozen=True)
@@ -536,7 +536,7 @@ def wb_vs_rwb_report(
 
 def map_to_json(bmap: BooleanMap) -> dict:
     """JSON form of a labeling: its P-words in canonical order."""
-    params, p = bmap.params, bmap.mask
+    params, p = _params_of(bmap), bmap.mask
     levels = hasse.build(params).mask_levels
     return {"p_set": [str(Word(params, m)) for level in levels for m in level if p >> m & 1]}
 

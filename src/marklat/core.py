@@ -226,8 +226,8 @@ class Word:
 
     def symbol_at(self, position: int) -> Symbol:
         """Symbol at string position ``position`` (1-based)."""
-        if not 1 <= position <= self.params.n:
-            raise DomainError(f"position {position} out of 1..{self.params.n}")
+        if type(position) is not int or not 1 <= position <= self.params.n:
+            raise DomainError(f"need an int position in 1..{self.params.n}, got {position!r}")
         return Symbol(self.values[position - 1])
 
     def complement(self) -> "Word":

@@ -139,6 +139,13 @@ class TestBooleanMap:
         with pytest.raises(dataclasses.FrozenInstanceError):
             m.mask = 0
 
+    @pytest.mark.parametrize("call", [is_representable, check_axioms, map_to_json])
+    def test_a_word_is_not_a_labeling(self, call):
+        # a Word has a params and a mask too, so it once passed for a map
+        w = parse_word(LatticeParams(4, 2), "21|01")
+        with pytest.raises(DomainError, match="BooleanMap"):
+            call(w)
+
 
 def oracle_violations(params, p_set):
     """The five conditions checked on words and Hasse edges directly."""
@@ -637,6 +644,18 @@ class TestGamma:
                             if not representable or is_representable(m).representable:
                                 best = slice_size(m, d)
                         assert best == found.value
+        # psi shares one incumbent across r, starting at C(n, d) + 1: no
+        # later r yields a labeling that does not beat the earlier ones
+        for n in (2, 3, 4, 5):
+            for d in range(1, n + 1):
+                yielded.clear()
+                found = psi(n, d)
+                best = comb(n, d) + 1
+                for m in yielded:
+                    assert m.p_count_d(d) < best
+                    if is_representable(m).representable:
+                        best = m.p_count_d(d)
+                assert best == found.value
 
     def test_d_out_of_range(self):
         # d must be an int: 2.0 passed the range test and True counted as 1
@@ -708,6 +727,37 @@ class TestPsi:
         res = psi(n, d, n_guard=n)
         assert res.value == value
         assert res.minimizer.params == LatticeParams(n, 1)
+        assert induced_map(res.witness).mask == res.minimizer.mask
+
+    def test_results_are_byte_identical(self):
+        # one sha256 over value, winning r, minimizer mask and witness of
+        # every psi(n, d) with n <= 7: pinned while each r still started
+        # its own search
+        digest = hashlib.sha256()
+        count = 0
+        for n in range(1, 8):
+            for d in range(1, n + 1):
+                res = psi(n, d, n_guard=n)
+                m, f = res.minimizer, res.witness
+                r = m.params.r if m else None
+                mask = m.mask if m else None
+                pos = ",".join(map(str, f.pos_values)) if f else ""
+                neg = ",".join(map(str, f.neg_values)) if f else ""
+                digest.update(f"{n}|{d}|{res.value}|{r}|{mask}|{pos}|{neg}\n".encode())
+                count += 1
+        assert count == 28
+        assert digest.hexdigest() == (
+            "0c026a62b4fe361353f9bedc9151508747d0c370bc12fa2507038d7ea3b408dc"
+        )
+
+    @pytest.mark.parametrize("n, d, r, value", [(8, 3, 3, 16), (9, 5, 2, 35)])
+    def test_later_r_prune_against_the_best_so_far(self, n, d, r, value):
+        # d does not divide n, so no floor ends the loop: each r after the
+        # winner searches only below its value
+        res = psi(n, d, n_guard=n)
+        assert res == gamma_d(LatticeParams(n, r), d, n_guard=n)
+        assert res.value == value
+        assert res.minimizer.p_count_d(d) == value
         assert induced_map(res.witness).mask == res.minimizer.mask
 
     def test_the_floor_does_not_bound_gamma_tilde_d(self):

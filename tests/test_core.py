@@ -173,6 +173,10 @@ class TestWordBasics:
             w.symbol_at(0)
         with pytest.raises(DomainError):
             w.symbol_at(7)
+        # a bool is not a position, and a float must not reach the tuple
+        for bad in (True, 1.0, "1"):
+            with pytest.raises(DomainError, match="int position"):
+                w.symbol_at(bad)
 
     def test_equality_is_per_lattice(self):
         a = Word(LatticeParams(3, 1), 1)
