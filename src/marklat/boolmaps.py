@@ -18,11 +18,12 @@ solver.  The extremal numbers minimize the size of the P-region (or its
 d-mark slice) over all weighted labelings (gamma_tilde) or over the
 representable ones (gamma).
 
-One walk over the weighted labelings, an explicit-stack search over
-those masks, sits behind ``enumerate_wbm``.  Every minimum (the
-report's two, psi's over all r) is one branch and bound over it,
-``_lower``: the walk cuts the subtrees that cannot beat the best
-labeling found so far.  The report's own loop only counts labelings.
+One walk, an explicit-stack search over the masks, sits behind
+``enumerate_wbm``.  It starts from every word a weighted labeling must
+make P, so each branch it pushes holds one and it tests no conflicts.
+Every minimum (the report's two, psi's over all r) is a branch and
+bound over it, ``_lower``, cutting the subtrees that cannot beat the
+best labeling so far.  The report's own loop only counts labelings.
 
 These notions degenerate when no negative mark exists (r = n): the
 negative witness word is missing, so enumeration yields nothing there
@@ -245,10 +246,12 @@ def _enumerate_wbm(params, cap, incumbent) -> Iterator[BooleanMap]:
     full = (1 << params.n) - 1
     every = (1 << (full + 1)) - 1
 
-    # the zero word is P, the negative unit N and the full word P.  Masks
-    # only grow, so one conflict test after the unions finds every conflict
+    # the zero and full words are P, the negative unit N, its complement P,
+    # and so is each word above its complement (N would put both in N).
+    # The one conflict left: at r = 0 the full word, P, is the bottom
     unit = 1 << params.r
     pos = up[0] | up[full] | up[unit ^ full]
+    pos |= sum(1 << m for m in range(full + 1) if up[m ^ full] >> m & 1)
     neg = down[unit]
     if pos & neg:
         return
@@ -278,16 +281,13 @@ def _enumerate_wbm(params, cap, incumbent) -> Iterator[BooleanMap]:
         while decided >> decision[at] & 1:
             at += 1
         i = decision[at]
-        # the P branch goes on the stack first, so the N branch runs first
-        p_pos = pos | up[i]
-        if not p_pos & neg:
-            stack.append((p_pos, neg, at + 1))
-        # complement reverses the order, so the complements of the words
-        # below i are exactly the words above i's complement
-        n_pos = pos | up[i ^ full]
-        n_neg = neg | down[i]
-        if not n_pos & n_neg:
-            stack.append((n_pos, n_neg, at + 1))
+        # no branch conflicts: P is an up-set and N a down-set without i, and
+        # each N word's complement is P.  So up[i] misses N; down[i] misses P;
+        # up[i ^ full], the complements of down[i], misses N, as i ^ full <= j
+        # in N puts i >= j ^ full in P; and down[i] meets it only if i lies
+        # above its complement, P since the root.  The N branch runs first
+        stack.append((pos | up[i], neg, at + 1))
+        stack.append((pos | up[i ^ full], neg | down[i], at + 1))
 
 
 @dataclass(frozen=True)

@@ -560,6 +560,8 @@ class BooleanMap:
         )
 
     def is_positive(self, w: Word) -> bool:
+        if not isinstance(w, Word):
+            raise DomainError(f"need a Word, got {type(w).__name__}")
         if w.params != self.params:
             raise DomainError(f"word from {w.params} against a map on {self.params}")
         return bool(self.mask >> w.mask & 1)

@@ -99,9 +99,18 @@ def _child_masks(params: LatticeParams, mask: int, order: GenOrder) -> list:
     return [mask ^ d for d in pos[mask & ((1 << r) - 1)] + neg[mask >> r]]
 
 
+def _gen_order(order) -> GenOrder:
+    """``order`` as a GenOrder, given as one or as its value."""
+    try:
+        return GenOrder(order)
+    except ValueError:
+        choices = ", ".join(o.value for o in GenOrder)
+        raise DomainError(f"unknown order {order!r}, choose one of {choices}") from None
+
+
 def children(w: Word, order: GenOrder = GenOrder.OUT_IN) -> list:
     """The upper covers of ``w`` in the requested emission order."""
-    return [Word(w.params, m) for m in _child_masks(w.params, w.mask, GenOrder(order))]
+    return [Word(w.params, m) for m in _child_masks(w.params, w.mask, _gen_order(order))]
 
 
 @dataclass(frozen=True)
@@ -153,7 +162,7 @@ def _build_cached(params: LatticeParams, order: GenOrder) -> HasseDiagram:
 
 def build(params: LatticeParams, order: GenOrder = GenOrder.OUT_IN) -> HasseDiagram:
     """The diagram of L(n, r), cached per (params, order); do not mutate it."""
-    return _build_cached(params, GenOrder(order))
+    return _build_cached(params, _gen_order(order))
 
 
 class LatticeSplit(NamedTuple):

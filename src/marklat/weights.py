@@ -108,6 +108,8 @@ class NrFunction:
         return tuple(self.pos_values) + tuple(self.neg_values)
 
     def value_of(self, symbol: Symbol) -> Fraction:
+        if not isinstance(symbol, Symbol):
+            raise DomainError(f"not a symbol: {symbol!r}")
         if symbol.is_zero:
             return Fraction(0)
         if not symbol.in_alphabet(self.params):
@@ -152,6 +154,8 @@ def validate(
 
 def sigma(f: NrFunction, w: Word) -> Fraction:
     """Sum of f over the letters of w (zeros contribute nothing)."""
+    if not isinstance(w, Word):
+        raise DomainError(f"need a Word, got {type(w).__name__}")
     if w.params != f.params:
         raise DomainError(f"word from {w.params} against valuation on {f.params}")
     total = Fraction(0)

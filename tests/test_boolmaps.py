@@ -35,8 +35,8 @@ from marklat.core import (
     parse_word,
 )
 from marklat.errors import DomainError, ResourceLimitError
-from marklat.hasse import build
-from marklat.weights import induced_map, phi_count, random_nr_function, sigma
+from marklat.hasse import build, children
+from marklat.weights import induced_map, load_f85, phi_count, random_nr_function, sigma
 
 from helpers import (
     SEED,
@@ -145,6 +145,23 @@ class TestBooleanMap:
         w = parse_word(LatticeParams(4, 2), "21|01")
         with pytest.raises(DomainError, match="BooleanMap"):
             call(w)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p: BooleanMap(p, []).is_positive(5),
+            lambda p: BooleanMap(p, []).label("x"),
+            lambda p: sigma(load_f85(), 3),
+            lambda p: load_f85().value_of(3),
+            lambda p: build(p, "bogus"),
+            lambda p: children(Word(p, 0), "x"),
+        ],
+        ids=["is_positive", "label", "sigma", "value_of", "build", "children"],
+    )
+    def test_a_wrong_argument_type_is_a_domain_error(self, call):
+        # DomainError is a LatticeError, the base of every error raised here
+        with pytest.raises(DomainError):
+            call(LatticeParams(3, 1))
 
 
 def oracle_violations(params, p_set):
@@ -308,6 +325,24 @@ class TestEnumerate:
             p = LatticeParams(n, r)
             got = [m.mask for m in enumerate_wbm(p, n_guard=7)]
             assert got == scan_walk_masks(p, *_tables(p))
+
+    def test_every_labeling_holds_the_walk_root(self):
+        # the walk starts with P on the zero word, the full word, the
+        # negative unit's complement and every word above its complement,
+        # and tests no conflict below that root: so each of these words is
+        # P in every weighted labeling.  Any decision order walks the same
+        # labelings, so the oracle scans words in mask order
+        cases = [(n, r) for n in range(1, 7) for r in range(n)] + [(7, 1), (7, 2), (7, 6)]
+        for n, r in cases:
+            p = LatticeParams(n, r)
+            _, up, down = leq_table(p)
+            full = (1 << n) - 1
+            above = sum(1 << m for m in range(full + 1) if up[m ^ full] >> m & 1)
+            root = up[0] | up[full] | up[(1 << r) ^ full] | above
+            labelings = scan_walk_masks(p, up, down, range(full + 1))
+            assert len(labelings) == len(list(enumerate_wbm(p, n_guard=7)))
+            for pos in labelings:
+                assert pos & root == root
 
     def test_tables_match_the_order_oracle(self):
         for n in range(0, 8):
