@@ -21,6 +21,10 @@ representable ones (gamma).
 One walk, an explicit-stack search over the masks, sits behind
 ``enumerate_wbm``.  It starts from every word a weighted labeling must
 make P, so each branch it pushes holds one and it tests no conflicts.
+A state is its P-region and its undecided words, the latter as a mask
+over positions in the top-down decision order: the next word to decide
+is its lowest set bit.  That order, the closures and the root state are
+built once per lattice (``_tables``).
 Every minimum (the report's two, psi's over all r) is a branch and
 bound over it, ``_lower``, cutting the subtrees that cannot beat the
 best labeling so far.  The report's own loop only counts labelings.
@@ -40,7 +44,7 @@ from math import comb, inf
 from typing import Iterator, Optional
 
 from . import hasse
-from .core import BooleanMap, LatticeParams, Word, _check_d, _d_slice
+from .core import BooleanMap, LatticeParams, Word, _check_d, _check_params, _d_slice
 # enumerate_words is looked up here by bench/spans.py, which traces it
 from .core import enumerate_words  # noqa: F401
 from .errors import DomainError, ResourceLimitError
@@ -176,21 +180,57 @@ def _row_halves(params: LatticeParams) -> tuple:
 
 @lru_cache(maxsize=16)
 def _tables(params: LatticeParams):
-    """Per-lattice machinery for the labeling search, indexed by word
-    mask: the up- and down-closure of every word as a labeling mask, and
-    the top-down decision order."""
+    """Per-lattice machinery for the labeling search, ``(up, n_keep,
+    decision, root)``.
+
+    ``decision`` lists the word masks top rank first, canonical within a
+    rank; the walk keeps its undecided words as a mask over positions in
+    it, bit k for ``decision[k]``.  ``up[m]`` is the up-closure of word m
+    as a labeling mask.  Turning ``decision[k]`` N decides its
+    down-closure, N, and the up-closure of its complement, P; ``n_keep[k]``
+    is the position mask of every other word.  ``root`` is the walk's
+    first state ``(pos, undecided)``, or None where the walk yields
+    nothing: at r = 0 the full word, P, is the bottom, and at r = n no
+    word is negative.
+    """
     diagram = hasse.build(params)
     covers = list(diagram.cover_masks())
-    up = [1 << m for m in range(1 << params.n)]
-    down = list(up)
+    full = (1 << params.n) - 1
+    decision = [m for level in reversed(diagram.mask_levels) for m in level]
+    where = [0] * (full + 1)
+    for k, m in enumerate(decision):
+        where[m] = k
     # close the cover relation level by level: covers are listed by the
     # rank of their lower word
+    up = [1 << m for m in range(full + 1)]
     for lo, hi in reversed(covers):
         up[lo] |= up[hi]
+    # complement reverses the order, so the up-closure of m ^ full is the
+    # complement of the down-closure of m, and the words N decides on m
+    # are the down-closure of {m, m ^ full}: close what they leave over
+    # positions, intersecting down the covers
+    every = (1 << (full + 1)) - 1
+    keep = [every ^ (1 << where[m] | 1 << where[m ^ full]) for m in range(full + 1)]
     for lo, hi in covers:
-        down[hi] |= down[lo]
-    decision = [m for level in reversed(diagram.mask_levels) for m in level]
-    return tuple(up), tuple(down), tuple(decision)
+        keep[hi] &= keep[lo]
+    n_keep = tuple(keep[m] for m in decision)
+
+    # the zero and full words are P, the negative unit N, its complement P,
+    # and so is each word above its complement (N would put both in N).
+    # The one conflict left: at r = 0 the full word, P, is the bottom
+    root = None
+    if params.r < params.n:
+        unit = 1 << params.r
+        pos = up[0] | up[full] | up[unit ^ full]
+        pos |= sum(1 << m for m in range(full + 1) if up[m ^ full] >> m & 1)
+        # word m ^ full is full - m, so complement mirrors a labeling mask:
+        # the unit's down-set mirrors its complement's up-set
+        neg = int(f"{up[unit ^ full]:0{full + 1}b}"[::-1], 2)
+        if not pos & neg:
+            # bits[m] is word m's bit; read them last position first
+            bits = f"{pos | neg:0{full + 1}b}"[::-1]
+            root = (pos, every ^ int("".join(bits[m] for m in reversed(decision)), 2))
+    return tuple(up), n_keep, tuple(decision), root
 
 
 class _Incumbent:
@@ -229,6 +269,7 @@ def enumerate_wbm(
     only the labelings below its size on its slice, as the caller lowers
     it, are yielded and counted against ``cap``.
     """
+    _check_params(params)
     _check_limits(cap, n_guard)
     if params.n > n_guard:
         raise ResourceLimitError(
@@ -242,34 +283,21 @@ def enumerate_wbm(
 
 
 def _enumerate_wbm(params, cap, incumbent) -> Iterator[BooleanMap]:
-    up, down, decision = _tables(params)
-    full = (1 << params.n) - 1
-    every = (1 << (full + 1)) - 1
-
-    # the zero and full words are P, the negative unit N, its complement P,
-    # and so is each word above its complement (N would put both in N).
-    # The one conflict left: at r = 0 the full word, P, is the bottom
-    unit = 1 << params.r
-    pos = up[0] | up[full] | up[unit ^ full]
-    pos |= sum(1 << m for m in range(full + 1) if up[m ^ full] >> m & 1)
-    neg = down[unit]
-    if pos & neg:
+    up, n_keep, decision, root = _tables(params)
+    if root is None:
         return
+    full = (1 << params.n) - 1
 
     emitted = 0
     # pending branches sit on an explicit stack, not the call stack, so
     # the lattice's depth never meets the recursion limit
-    stack = [(pos, neg, 0)]
+    stack = [root]
     while stack:
-        pos, neg, at = stack.pop()
+        pos, undecided = stack.pop()
         # pos only grows down the tree: no leaf below holds fewer P-words
         if incumbent is not None and (pos & incumbent.slice).bit_count() >= incumbent.size:
             continue
-        decided = pos | neg
-        # a branch ends once every word is decided; until then an undecided
-        # word lies at or after decision[at], as `at` moves only past
-        # decided words
-        if decided == every:
+        if not undecided:
             if emitted >= cap:
                 raise ResourceLimitError(
                     f"labeling enumeration for {params} exceeded the cap of {cap}",
@@ -278,16 +306,20 @@ def _enumerate_wbm(params, cap, incumbent) -> Iterator[BooleanMap]:
             emitted += 1
             yield BooleanMap._from_mask(params, pos)
             continue
-        while decided >> decision[at] & 1:
-            at += 1
-        i = decision[at]
+        # the next word is the first undecided one in decision order
+        low = undecided & -undecided
+        k = low.bit_length() - 1
+        i = decision[k]
         # no branch conflicts: P is an up-set and N a down-set without i, and
         # each N word's complement is P.  So up[i] misses N; down[i] misses P;
         # up[i ^ full], the complements of down[i], misses N, as i ^ full <= j
         # in N puts i >= j ^ full in P; and down[i] meets it only if i lies
-        # above its complement, P since the root.  The N branch runs first
-        stack.append((pos | up[i], neg, at + 1))
-        stack.append((pos | up[i ^ full], neg | down[i], at + 1))
+        # above its complement, P since the root.  Every word above i comes
+        # before it in decision order, so it is decided, and P, as N holds
+        # no word above i: the P branch decides i alone.  The N branch,
+        # down[i] and up[i ^ full], runs first
+        stack.append((pos | up[i], undecided ^ low))
+        stack.append((pos | up[i ^ full], undecided & n_keep[k]))
 
 
 @dataclass(frozen=True)
@@ -375,6 +407,7 @@ def _slice_mask(params: LatticeParams, d: Optional[int]) -> int:
     """Labeling mask of the words a minimum counts: those on d marks, or
     all words when d is None.  Checks that the extremal numbers are
     specified for r and d."""
+    _check_params(params)
     if not 1 <= params.r <= params.n - 1:
         raise DomainError(
             f"extremal numbers are unspecified outside 1 <= r <= n-1, got {params}"

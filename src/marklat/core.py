@@ -496,6 +496,12 @@ def enumerate_words(params: LatticeParams) -> list:
     return [Word(params, m) for level in _canonical_levels(params, GenOrder.OUT_IN) for m in level]
 
 
+def _check_params(params) -> None:
+    """A domain error unless params is a LatticeParams."""
+    if not isinstance(params, LatticeParams):
+        raise DomainError(f"need a LatticeParams, got {type(params).__name__}")
+
+
 def _check_d(d, n: int) -> None:
     """A mark count d must be an int with 1 <= d <= n."""
     if type(d) is not int or not 1 <= d <= n:
@@ -536,6 +542,7 @@ class BooleanMap:
     mask: int
 
     def __init__(self, params: LatticeParams, p_set):
+        _check_params(params)
         mask = 0
         for w in p_set:
             if not isinstance(w, Word) or w.params != params:
@@ -546,10 +553,11 @@ class BooleanMap:
 
     @classmethod
     def _from_mask(cls, params: LatticeParams, mask: int) -> "BooleanMap":
-        # trusted constructor: mask must only hold bits below 2^n
+        # trusted constructor: mask must only hold bits below 2^n.  The
+        # fields go straight into the instance dict, past the frozen
+        # __setattr__, as the labeling walk makes one map per leaf
         bmap = object.__new__(cls)
-        object.__setattr__(bmap, "params", params)
-        object.__setattr__(bmap, "mask", mask)
+        bmap.__dict__.update(params=params, mask=mask)
         return bmap
 
     @property

@@ -33,6 +33,7 @@ from marklat.core import (
     enumerate_d_slice,
     enumerate_words,
     parse_word,
+    _d_slice,
 )
 from marklat.errors import DomainError, ResourceLimitError
 from marklat.hasse import build, children
@@ -162,6 +163,25 @@ class TestBooleanMap:
         # DomainError is a LatticeError, the base of every error raised here
         with pytest.raises(DomainError):
             call(LatticeParams(3, 1))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: enumerate_wbm(5),
+            lambda: gamma(5),
+            lambda: gamma_d(5, 2),
+            lambda: gamma_tilde(5),
+            lambda: gamma_tilde_d(5, 2),
+            lambda: wb_vs_rwb_report(5),
+            lambda: BooleanMap(5, []),
+        ],
+        ids=["enumerate_wbm", "gamma", "gamma_d", "gamma_tilde", "gamma_tilde_d", "report", "map"],
+    )
+    def test_a_lattice_must_be_lattice_params(self, call):
+        # an int has no n or r: unchecked, it raises AttributeError deep
+        # in the walk, or BooleanMap makes a map on the int
+        with pytest.raises(DomainError, match="LatticeParams"):
+            call()
 
 
 def oracle_violations(params, p_set):
@@ -324,7 +344,29 @@ class TestEnumerate:
         for n, r in cases:
             p = LatticeParams(n, r)
             got = [m.mask for m in enumerate_wbm(p, n_guard=7)]
-            assert got == scan_walk_masks(p, *_tables(p))
+            _, up, down = leq_table(p)
+            assert got == scan_walk_masks(p, up, down, _tables(p)[2])
+
+    def test_pruned_walks_are_pinned(self):
+        # one sha256 over the masks the walk yields on the cases above:
+        # unpruned, then under a fixed incumbent (never lowered) of the
+        # least slice size + 1, the median and the largest, over all words
+        # and on every d-mark slice
+        digest = hashlib.sha256()
+        cases = [(n, r) for n in range(1, 7) for r in range(n)] + [(7, 1), (7, 2), (7, 6)]
+        for n, r in cases:
+            p = LatticeParams(n, r)
+            masks = [m.mask for m in enumerate_wbm(p, n_guard=7)]
+            digest.update(repr((n, r, masks)).encode())
+            for d in (None, *range(1, n + 1)):
+                slice_mask = (1 << (1 << n)) - 1 if d is None else _d_slice(n, d)
+                sizes = sorted((m & slice_mask).bit_count() for m in masks)
+                for size in (sizes[0] + 1, sizes[len(sizes) // 2], sizes[-1]) if sizes else ():
+                    incumbent = boolmaps._Incumbent(slice_mask, size)
+                    pruned = enumerate_wbm(p, n_guard=7, _incumbent=incumbent)
+                    digest.update(repr((d, size, [m.mask for m in pruned])).encode())
+        want = "aba97a782eecf46bc418a86a3289ce1434293e419dedc74fa49e37cfa843f7a6"
+        assert digest.hexdigest() == want
 
     def test_every_labeling_holds_the_walk_root(self):
         # the walk starts with P on the zero word, the full word, the
@@ -348,20 +390,45 @@ class TestEnumerate:
         for n in range(0, 8):
             for r in range(0, n + 1):
                 p = LatticeParams(n, r)
-                up, down, decision = _tables(p)
+                up, n_keep, decision, _ = _tables(p)
                 words, want_up, want_down = leq_table(p)
                 assert list(up) == want_up
-                assert list(down) == want_down
                 # top rank first, canonical order within a rank
                 mask_of = {w.values: w.mask for w in words}
                 levels, _ = tuple_levels_and_edges(p, False)
                 assert list(decision) == [mask_of[v] for level in reversed(levels) for v in level]
+                # turning decision[k] N leaves every position undecided
+                # but those of its down-set and its complement's up-set
+                full = (1 << n) - 1
+                for k, i in enumerate(decision):
+                    decided = want_down[i] | want_up[i ^ full]
+                    keep = [j for j, m in enumerate(decision) if not decided >> m & 1]
+                    assert n_keep[k] == sum(1 << j for j in keep)
+
+    def test_tables_hold_the_walk_root(self):
+        # the root of test_every_labeling_holds_the_walk_root, with its
+        # undecided words as positions in the decision order; None at
+        # r = 0, where it conflicts, and at r = n, where nothing is walked
+        for n in range(0, 8):
+            for r in range(0, n + 1):
+                p = LatticeParams(n, r)
+                _, _, decision, root = _tables(p)
+                if r in (0, n):
+                    assert root is None
+                    continue
+                _, up, down = leq_table(p)
+                full = (1 << n) - 1
+                above = sum(1 << m for m in range(full + 1) if up[m ^ full] >> m & 1)
+                pos = up[0] | up[full] | up[(1 << r) ^ full] | above
+                decided = pos | down[1 << r]
+                undecided = [k for k, m in enumerate(decision) if not decided >> m & 1]
+                assert root == (pos, sum(1 << k for k in undecided))
 
     def test_complement_maps_down_sets_onto_up_sets(self):
         # the walk forces P on the up-set of i's complement when i turns N
         for n in range(0, 9):
             for r in range(0, n + 1):
-                up, down, _ = _tables(LatticeParams(n, r))
+                _, up, down = leq_table(LatticeParams(n, r))
                 full = (1 << n) - 1
                 for m in range(full + 1):
                     image = sum(1 << (b ^ full) for b in range(full + 1) if down[m] >> b & 1)
