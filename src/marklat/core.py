@@ -190,6 +190,9 @@ class Word:
     __slots__ = ("params", "mask", "_hash")
 
     def __init__(self, params: LatticeParams, mask: int):
+        # _check_params inlined: every word of every listing passes here
+        if not isinstance(params, LatticeParams):
+            raise DomainError(f"need a LatticeParams, got {type(params).__name__}")
         if type(mask) is not int:
             raise DomainError(f"a word mask must be an int, got {mask!r}")
         if not 0 <= mask < (1 << params.n):
@@ -273,7 +276,15 @@ class DeltaVector:
         return tuple(k + 1 for k, e in enumerate(self.entries) if e is not None)
 
 
+def _check_word(w) -> None:
+    """A domain error unless w is a Word."""
+    if not isinstance(w, Word):
+        raise DomainError(f"need a Word, got {type(w).__name__}")
+
+
 def _require_same(w1: Word, w2: Word):
+    _check_word(w1)
+    _check_word(w2)
     if w1.params != w2.params:
         raise DomainError(f"words from different lattices: {w1.params} vs {w2.params}")
 
@@ -293,6 +304,7 @@ def _word_from_values(params: LatticeParams, vals: tuple) -> Word:
 
 def word_from_subset(params: LatticeParams, symbols: Iterable[Symbol]) -> Word:
     """Build the canonical word for a subset of the nonzero marks."""
+    _check_params(params)
     mask = 0
     for s in symbols:
         if not isinstance(s, Symbol):
@@ -335,6 +347,7 @@ def parse_word(params: LatticeParams, text: str) -> Word:
     that subset's rendering.  Anything else is rejected with a message
     naming the rule it breaks or the canonical form of its digits.
     """
+    _check_params(params)
     if not isinstance(text, str) or text.count("|") != 1:
         raise ValidationError("a word is two digit blocks separated by one '|'")
     left_text, right_text = text.split("|")
@@ -381,6 +394,7 @@ def bool_intersect(w1: Word, w2: Word) -> Word:
 
 def complement(w: Word) -> Word:
     """The word of the complementary subset of nonzero marks."""
+    _check_word(w)
     return w.complement()
 
 
@@ -409,16 +423,19 @@ def is_cover(w1: Word, w2: Word) -> bool:
 
 
 def rank(w: Word) -> int:
+    _check_word(w)
     return w.rank
 
 
 def nonzero_count(w: Word) -> int:
+    _check_word(w)
     return w.nonzero_count
 
 
 def transpose(w: Word) -> Word:
     """Swap the two sides: pos(i) becomes neg(i) and vice versa, landing in
     L(n, n-r).  Order-reversing; applying it twice gives the word back."""
+    _check_word(w)
     p = w.params
     q = LatticeParams(p.n, p.num_neg)
     low = (1 << p.r) - 1
@@ -432,6 +449,7 @@ def iso_to_conjugate(w: Word) -> Word:
 
 def cartesian_split(w: Word) -> tuple:
     """Split a word at the bar into its L(r, r) and L(n-r, 0) factors."""
+    _check_word(w)
     p = w.params
     left = Word(LatticeParams(p.r, p.r), w.mask & ((1 << p.r) - 1))
     right = Word(LatticeParams(p.num_neg, 0), w.mask >> p.r)
@@ -440,6 +458,8 @@ def cartesian_split(w: Word) -> tuple:
 
 def cartesian_merge(left: Word, right: Word) -> Word:
     """Inverse of :func:`cartesian_split`."""
+    _check_word(left)
+    _check_word(right)
     lp, rp = left.params, right.params
     if lp.r != lp.n:
         raise DomainError(f"left factor must come from L(a, a), got {lp}")
@@ -493,6 +513,7 @@ def _canonical_levels(params: LatticeParams, order: GenOrder) -> tuple:
 
 def enumerate_words(params: LatticeParams) -> list:
     """All 2^n words in canonical order (``GenOrder.OUT_IN``)."""
+    _check_params(params)
     return [Word(params, m) for level in _canonical_levels(params, GenOrder.OUT_IN) for m in level]
 
 
@@ -510,6 +531,9 @@ def _check_d(d, n: int) -> None:
 
 def enumerate_d_slice(params: LatticeParams, d: int) -> list:
     """The words using exactly ``d`` nonzero marks, in canonical order."""
+    # _check_params inlined: the lookup cached per (params, d) costs about 1 us
+    if not isinstance(params, LatticeParams):
+        raise DomainError(f"need a LatticeParams, got {type(params).__name__}")
     _check_d(d, params.n)
     return list(_d_slice_words(params, d))
 
@@ -557,7 +581,9 @@ class BooleanMap:
         # fields go straight into the instance dict, past the frozen
         # __setattr__, as the labeling walk makes one map per leaf
         bmap = object.__new__(cls)
-        bmap.__dict__.update(params=params, mask=mask)
+        fields = bmap.__dict__
+        fields["params"] = params
+        fields["mask"] = mask
         return bmap
 
     @property
@@ -568,8 +594,7 @@ class BooleanMap:
         )
 
     def is_positive(self, w: Word) -> bool:
-        if not isinstance(w, Word):
-            raise DomainError(f"need a Word, got {type(w).__name__}")
+        _check_word(w)
         if w.params != self.params:
             raise DomainError(f"word from {w.params} against a map on {self.params}")
         return bool(self.mask >> w.mask & 1)

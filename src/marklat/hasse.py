@@ -19,15 +19,18 @@ half; every cover in this module is read from it.
 A diagram holds word masks only: the rank levels of
 :mod:`marklat.core`, in canonical order.  Its cover pairs are
 ``(word, child)`` for each word in that order and each of its children
-in child order; ``cover_masks`` yields them as mask pairs.  The
-``Word`` views ``levels`` and ``edges`` are built the first time they
-are read.
+in child order.  ``cover_moves`` yields each word with the XOR deltas
+of its covers, read once from the move tables; ``cover_masks`` flattens
+it into mask pairs.  The ``Word`` views ``levels`` and ``edges`` are
+built the first time they are read.
 
 The diagram is exported as Graphviz DOT or as JSON.  Both writers read
-masks, never a ``Word``, and send their document to an open text file
-line by line, from one table of quoted word names, and never hold it
-whole (at n = 14 a DOT file is 3-5 MB).  ``to_dot`` returns the DOT text
-and ``diagram_to_json`` the JSON document as a dict.
+``cover_moves``, never a ``Word``, and send their document to an open
+text file one word's covers at a time, joined from one table of quoted
+word names.  Neither holds more than one word's cover lines or one
+rank level's names (at n = 14 a DOT file is 3-5 MB).  ``to_dot``
+returns the DOT text and ``diagram_to_json`` the JSON document as a
+dict.
 """
 
 from __future__ import annotations
@@ -39,7 +42,17 @@ from functools import cached_property, lru_cache
 from itertools import chain
 from typing import NamedTuple
 
-from .core import GenOrder, LatticeParams, Word, _canonical_levels, _neg_text, _pos_text, delta
+from .core import (
+    GenOrder,
+    LatticeParams,
+    Word,
+    _canonical_levels,
+    _check_params,
+    _check_word,
+    _neg_text,
+    _pos_text,
+    delta,
+)
 from .errors import DomainError
 
 __all__ = [
@@ -62,6 +75,7 @@ def generating_indexes(w: Word) -> tuple:
     keeping the word canonical.  Returns (positive side, negative side),
     each in ascending position order.  Each upper cover differs from the
     word in exactly the one position its bump raises."""
+    _check_word(w)
     params = w.params
     moved = sorted(
         delta(w, Word(params, m)).support[0]
@@ -110,6 +124,7 @@ def _gen_order(order) -> GenOrder:
 
 def children(w: Word, order: GenOrder = GenOrder.OUT_IN) -> list:
     """The upper covers of ``w`` in the requested emission order."""
+    _check_word(w)
     return [Word(w.params, m) for m in _child_masks(w.params, w.mask, _gen_order(order))]
 
 
@@ -123,16 +138,17 @@ class HasseDiagram:
     order: GenOrder
     mask_levels: tuple
 
-    def cover_masks(self):
-        """The cover pairs as ``(lo, hi)`` masks, in the order of ``edges``."""
+    def cover_moves(self):
+        """Each word's mask ``lo`` with the XOR deltas of its upper covers
+        in child order, ``(lo, moves)``, word by word in canonical order."""
         pos, neg = _move_tables(self.params, self.order)
         r = self.params.r
         low = (1 << r) - 1
-        return (
-            (lo, lo ^ d)
-            for lo in chain.from_iterable(self.mask_levels)
-            for d in pos[lo & low] + neg[lo >> r]
-        )
+        return ((lo, pos[lo & low] + neg[lo >> r]) for lo in chain.from_iterable(self.mask_levels))
+
+    def cover_masks(self):
+        """The cover pairs as ``(lo, hi)`` masks, in the order of ``edges``."""
+        return ((lo, lo ^ d) for lo, moves in self.cover_moves() for d in moves)
 
     @cached_property
     def levels(self) -> tuple:
@@ -162,6 +178,7 @@ def _build_cached(params: LatticeParams, order: GenOrder) -> HasseDiagram:
 
 def build(params: LatticeParams, order: GenOrder = GenOrder.OUT_IN) -> HasseDiagram:
     """The diagram of L(n, r), cached per (params, order); do not mutate it."""
+    _check_params(params)
     return _build_cached(params, _gen_order(order))
 
 
@@ -185,6 +202,7 @@ def split_parts(params: LatticeParams) -> LatticeSplit:
     separating mark into pos(n).  Both halves are order-isomorphic to
     L(n-1, r) and the upper half's minimum has rank ``shift``.
     """
+    _check_params(params)
     n, r = params.n, params.r
     if n == 0:
         raise DomainError("the one-word lattice L(0, 0) has no split")
@@ -211,14 +229,31 @@ def _quoted_names(params: LatticeParams) -> tuple:
     return tuple(p + f'{_neg_text(m, s)}"' for s in range(1 << m) for p in pos)
 
 
+def _cover_blocks(diagram: HasseDiagram, names: tuple, lead: str, mid: str, sep: str, end: str):
+    """One text per word that has covers: a row ``lead + lo + mid + hi``
+    per cover in child order, rows joined by ``sep``, then ``end``."""
+    for lo, moves in diagram.cover_moves():
+        if moves:
+            head = f"{lead}{names[lo]}{mid}"
+            yield head + f"{sep}{head}".join([names[lo ^ d] for d in moves]) + end
+
+
+def _check_diagram(diagram) -> None:
+    """A domain error unless diagram is a HasseDiagram."""
+    if not isinstance(diagram, HasseDiagram):
+        raise DomainError(f"need a HasseDiagram, got {type(diagram).__name__}")
+
+
 def write_dot(diagram: HasseDiagram, fh) -> None:
     """Write the diagram to the text file ``fh`` as deterministic Graphviz
-    source, one line at a time.
+    source: a line per rank level, then one write per word that holds
+    all of its cover lines.
 
     Nodes keep their canonical string forms as quoted identifiers, each
     rank level is pinned with a same-rank group, and invisible edges
     preserve the left-to-right canonical order inside a level.
     """
+    _check_diagram(diagram)
     names = _quoted_names(diagram.params)
     fh.write("digraph lattice {\n  rankdir=BT;\n  node [shape=box];\n")
     for level in diagram.mask_levels:
@@ -227,7 +262,7 @@ def write_dot(diagram: HasseDiagram, fh) -> None:
             fh.write(f"  {{ rank=same; {row[0]}; }}\n")
         else:
             fh.write(f"  {{ rank=same; {' -> '.join(row)} [style=invis]; }}\n")
-    fh.writelines(f"  {names[lo]} -> {names[hi]};\n" for lo, hi in diagram.cover_masks())
+    fh.writelines(_cover_blocks(diagram, names, "  ", " -> ", ";\n", ";\n"))
     fh.write("}\n")
 
 
@@ -238,28 +273,33 @@ def to_dot(diagram: HasseDiagram) -> str:
     return out.getvalue()
 
 
-def _json_rows(rows):
-    """The text of a list of string lists, each row given as its items
-    already joined, laid out as ``json.dumps(..., indent=2)`` lays out
-    the value of a top-level key."""
+# between two rows of a list of string lists, laid out as by
+# ``json.dumps(..., indent=2)`` under a top-level key
+_ROW_SEP = "\n    ],\n    [\n      "
+
+
+def _json_rows(blocks):
+    """The text of a list of string lists laid out as ``json.dumps(...,
+    indent=2)`` lays out the value of a top-level key.  Each block holds
+    one or more rows, each given as its items already joined, and rows
+    within a block are already joined by ``_ROW_SEP``."""
     sep = "[\n    [\n      "
-    for row in rows:
-        yield sep + row
-        sep = "\n    ],\n    [\n      "
+    for block in blocks:
+        yield sep + block
+        sep = _ROW_SEP
     # json.dumps writes an empty list as []
     yield "\n    ]\n  ]" if sep[0] == "\n" else "[]"
 
 
 def write_json(diagram: HasseDiagram, fh) -> None:
     """Write ``json.dumps(diagram_to_json(diagram), indent=2,
-    sort_keys=True)`` and a newline to the text file ``fh``, one line
-    at a time."""
+    sort_keys=True)`` and a newline to the text file ``fh``: one write
+    per word that holds all of its edge rows, then one per rank level."""
+    _check_diagram(diagram)
     names = _quoted_names(diagram.params)
     item = ",\n      "
     fh.write('{\n  "edges": ')
-    fh.writelines(
-        _json_rows(f"{names[lo]}{item}{names[hi]}" for lo, hi in diagram.cover_masks())
-    )
+    fh.writelines(_json_rows(_cover_blocks(diagram, names, "", item, _ROW_SEP, "")))
     fh.write(',\n  "levels": ')
     fh.writelines(
         _json_rows(item.join([names[m] for m in level]) for level in diagram.mask_levels)
@@ -273,6 +313,7 @@ def write_json(diagram: HasseDiagram, fh) -> None:
 
 def diagram_to_json(diagram: HasseDiagram) -> dict:
     """JSON-ready dict: params, order, levels and edges as string forms."""
+    _check_diagram(diagram)
     names = {w: str(w) for w in diagram.words()}
     return {
         "params": {"n": diagram.params.n, "r": diagram.params.r},

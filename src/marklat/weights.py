@@ -26,7 +26,16 @@ from math import lcm
 from typing import Sequence
 
 # enumerate_words is looked up here by bench/spans.py, which traces it
-from .core import BooleanMap, LatticeParams, Symbol, Word, _subset_sums, enumerate_words  # noqa: F401
+from .core import (  # noqa: F401
+    BooleanMap,
+    LatticeParams,
+    Symbol,
+    Word,
+    _check_params,
+    _check_word,
+    _subset_sums,
+    enumerate_words,
+)
 from .errors import DomainError, ValidationError
 
 __all__ = [
@@ -66,6 +75,7 @@ class NrFunction:
     neg_values: tuple
 
     def __post_init__(self):
+        _check_params(self.params)
         r, m = self.params.r, self.params.num_neg
         if len(self.pos_values) != r:
             raise ValidationError(f"expected {r} positive values, got {len(self.pos_values)}")
@@ -152,10 +162,16 @@ def validate(
     return NrFunction(params, tuple(pos_values), tuple(neg_values))
 
 
+def _check_fn(f) -> None:
+    """A domain error unless f is an NrFunction."""
+    if not isinstance(f, NrFunction):
+        raise DomainError(f"need an NrFunction, got {type(f).__name__}")
+
+
 def sigma(f: NrFunction, w: Word) -> Fraction:
     """Sum of f over the letters of w (zeros contribute nothing)."""
-    if not isinstance(w, Word):
-        raise DomainError(f"need a Word, got {type(w).__name__}")
+    _check_fn(f)
+    _check_word(w)
     if w.params != f.params:
         raise DomainError(f"word from {w.params} against valuation on {f.params}")
     total = Fraction(0)
@@ -170,6 +186,7 @@ def sigma(f: NrFunction, w: Word) -> Fraction:
 
 def induced_map(f: NrFunction):
     """The boolean map sending a word to P exactly when its sum is >= 0."""
+    _check_fn(f)
     # one common multiple of the denominators turns every sum into an int
     # of the same sign; sums[m] is the sum over the marks in mask m
     scale = lcm(*(v.denominator for v in f._by_bit))
@@ -195,6 +212,7 @@ def nr_function_to_json(f: NrFunction) -> dict:
 
     ``tilde[k]`` is the value at pos(k+1), ``bar[k]`` at neg(k+1).
     """
+    _check_fn(f)
     return {
         "n": f.params.n,
         "r": f.params.r,
@@ -249,6 +267,7 @@ def random_nr_function(
     denominators.  Each side is sorted into chain order; under
     ``require_weight`` a negative total is repaired by raising the top
     positive value.  Deterministic for a given rng state."""
+    _check_params(params)
     r, m = params.r, params.num_neg
     if require_weight and r == 0 and params.n > 0:
         raise DomainError(

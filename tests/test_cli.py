@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -5,8 +7,8 @@ import sys
 import pytest
 
 from marklat.cli import main
-from marklat.core import LatticeParams, enumerate_words
-from marklat.hasse import build
+from marklat.core import GenOrder, LatticeParams, enumerate_d_slice, enumerate_words
+from marklat.hasse import build, write_dot, write_json
 from marklat.weights import load_f85, nr_function_to_json
 
 from helpers import MALFORMED_JSON, oracle_dot, oracle_json
@@ -69,6 +71,29 @@ class TestEnumerate:
         code, out, err = run(capsys, "enumerate", "--n", "3", "--r", "4")
         assert code == 3
         assert "error:" in err
+
+    def test_listings_match_the_word_path(self, capsys):
+        # every L(n, r) with n <= 9, without --d and for every d
+        for n in range(10):
+            for r in range(n + 1):
+                p = LatticeParams(n, r)
+                for d in [None, *range(1, n + 1)]:
+                    words = enumerate_words(p) if d is None else enumerate_d_slice(p, d)
+                    flags = ["--n", str(n), "--r", str(r)] + ([] if d is None else ["--d", str(d)])
+                    code, out, err = run(capsys, "enumerate", *flags)
+                    assert (code, err) == (0, "")
+                    assert out == "".join(f"{w}\n" for w in words), (n, r, d)
+                    code, out, err = run(capsys, "enumerate", *flags, "--json")
+                    assert (code, err) == (0, "")
+                    doc = {"n": n, "r": r, "d": d, "count": len(words), "words": [str(w) for w in words]}
+                    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n", (n, r, d)
+
+    @pytest.mark.parametrize("d", [0, 5])
+    def test_d_out_of_range_exit(self, capsys, d):
+        for fmt in ([], ["--json"]):
+            code, out, err = run(capsys, "enumerate", "--n", "4", "--r", "2", "--d", str(d), *fmt)
+            assert (code, out) == (3, "")
+            assert err == f"error: need an int d with 1 <= d <= n, got d={d} for n=4\n"
 
 
 class TestHasse:
@@ -301,3 +326,35 @@ class TestSubprocess:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("n,r,k,")
+
+
+class TestPinnedBytes:
+    # one sha256 over the enumerate listings of every L(n, r) with n <= 10
+    # (plain and --json, without --d and for every d), the count CSV to
+    # n = 14, and both Hasse writers on L(12, 6) and L(13, 6) in both
+    # orders; recorded before the verbs wrote a word at a time
+    PINNED = "42f30682df5e1af8ccc127fb2e73ac3c735669ec68502374a8a301543402c6da"
+
+    def test_outputs_are_byte_identical(self, capsys):
+        digest = hashlib.sha256()
+        for n in range(11):
+            for r in range(n + 1):
+                for d in [None, *range(1, n + 1)]:
+                    flags = [] if d is None else ["--d", str(d)]
+                    for fmt in ([], ["--json"]):
+                        code, out, err = run(
+                            capsys, "enumerate", "--n", str(n), "--r", str(r), *flags, *fmt
+                        )
+                        assert code == 0, (n, r, d, fmt, err)
+                        digest.update(out.encode())
+        code, out, err = run(capsys, "count", "--n-max", "14")
+        assert code == 0, err
+        digest.update(out.encode())
+        for n in (12, 13):
+            for order in GenOrder:
+                diagram = build(LatticeParams(n, 6), order)
+                for writer in (write_dot, write_json):
+                    out = io.StringIO()
+                    writer(diagram, out)
+                    digest.update(out.getvalue().encode())
+        assert digest.hexdigest() == self.PINNED

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from marklat import hasse, weights
 from marklat.core import (
     DeltaVector,
     LatticeParams,
@@ -569,3 +570,72 @@ class TestEnumeration:
         p = LatticeParams(6, 2)
         for d in range(1, 7):
             assert len(list(enumerate_d_slice(p, d))) == comb(6, d)
+
+
+class TestUntypedArguments:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: hasse.build(5),
+            lambda: hasse.children(5),
+            lambda: hasse.generating_indexes(5),
+            lambda: hasse.split_parts(5),
+            lambda: hasse.to_dot(5),
+            lambda: hasse.write_json(5, None),
+            lambda: hasse.diagram_to_json(5),
+            lambda: complement(5),
+            lambda: delta(5, 5),
+            lambda: leq(Word(LatticeParams(2, 1), 0), 5),
+            lambda: rank(5),
+            lambda: nonzero_count(5),
+            lambda: transpose(5),
+            lambda: cartesian_split(5),
+            lambda: cartesian_merge(5, 5),
+            lambda: enumerate_words(5),
+            lambda: enumerate_d_slice(5, 1),
+            lambda: parse_word(5, "0|0"),
+            lambda: word_from_subset(5, []),
+            lambda: Word(5, 0),
+            lambda: weights.induced_map(5),
+            lambda: weights.alpha_count(5),
+            lambda: weights.phi_count(5, 1),
+            lambda: weights.sigma(5, Word(LatticeParams(2, 1), 0)),
+            lambda: weights.nr_function_to_json(5),
+            lambda: weights.NrFunction(5, (), ()),
+            lambda: weights.random_nr_function(5, random.Random(SEED)),
+        ],
+        ids=[
+            "build",
+            "children",
+            "generating_indexes",
+            "split_parts",
+            "to_dot",
+            "write_json",
+            "diagram_to_json",
+            "complement",
+            "delta",
+            "leq",
+            "rank",
+            "nonzero_count",
+            "transpose",
+            "cartesian_split",
+            "cartesian_merge",
+            "enumerate_words",
+            "enumerate_d_slice",
+            "parse_word",
+            "word_from_subset",
+            "Word",
+            "induced_map",
+            "alpha_count",
+            "phi_count",
+            "sigma",
+            "nr_function_to_json",
+            "NrFunction",
+            "random_nr_function",
+        ],
+    )
+    def test_raise_domain_errors(self, call):
+        # an int has no params, n or r: unchecked, each of these raised
+        # AttributeError
+        with pytest.raises(DomainError, match="need a"):
+            call()

@@ -152,6 +152,24 @@ class TestCsv:
             total_rank(n, r) + 1 for n in range(0, 7) for r in range(0, n + 1)
         )
 
+    def test_rows_match_the_checked_public_counts(self):
+        for n_max in range(10):
+            want = [
+                {
+                    "n": n,
+                    "r": r,
+                    "k": k,
+                    "s_recursive": s_recursive(n, r, k),
+                    "s_convolution": s_convolution(n, r, k),
+                    "s_bruteforce": s_bruteforce(n, r, k),
+                    "agree": True,
+                }
+                for n in range(n_max + 1)
+                for r in range(n + 1)
+                for k in range(total_rank(n, r) + 1)
+            ]
+            assert list(census_rows(n_max)) == want
+
     def test_bad_n_max(self):
         with pytest.raises(DomainError):
             write_census_csv(io.StringIO(), -1)
