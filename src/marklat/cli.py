@@ -11,18 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import chain
+from itertools import islice
 
 from . import boolmaps, counting, hasse, weights
-from .core import (
-    GenOrder,
-    LatticeParams,
-    _canonical_levels,
-    _check_d,
-    _neg_text,
-    _pos_text,
-    enumerate_words,
-)
+from .core import LatticeParams, _word_texts, enumerate_d_slice, enumerate_words
 from .errors import DomainError, ResourceLimitError
 
 
@@ -34,38 +26,25 @@ def _params(args) -> LatticeParams:
     return LatticeParams(args.n, args.r)
 
 
-def _listing(params: LatticeParams, d):
-    """The canonical strings of each rank level in canonical order, of
-    the words on exactly d marks unless d is None, rendered from the
-    texts of the two sides of the bar."""
-    r, m = params.r, params.num_neg
-    low = (1 << r) - 1
-    pos = [_pos_text(r, s) + "|" for s in range(1 << r)]
-    neg = [_neg_text(m, s) for s in range(1 << m)]
-    for level in _canonical_levels(params, GenOrder.OUT_IN):
-        if d is not None:
-            level = [mask for mask in level if mask.bit_count() == d]
-        yield [pos[mask & low] + neg[mask >> r] for mask in level]
-
-
 def cmd_enumerate(args) -> int:
     params = _params(args)
-    if args.d is not None:
-        _check_d(args.d, params.n)
-    levels = _listing(params, args.d)
+    words = enumerate_words(params) if args.d is None else enumerate_d_slice(params, args.d)
+    texts = _word_texts(params, words)
     if args.json:
-        words = list(chain.from_iterable(levels))
         _emit_json(
             {
                 "n": params.n,
                 "r": params.r,
                 "d": args.d,
                 "count": len(words),
-                "words": words,
+                "words": list(texts),
             }
         )
     else:
-        sys.stdout.writelines("\n".join(level) + "\n" for level in levels if level)
+        # a write per block of lines: a write per line costs about 1 us,
+        # and one write of the whole listing holds all of its lines
+        while block := list(islice(texts, 1024)):
+            sys.stdout.write("\n".join(block) + "\n")
     return 0
 
 

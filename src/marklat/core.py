@@ -190,9 +190,7 @@ class Word:
     __slots__ = ("params", "mask", "_hash")
 
     def __init__(self, params: LatticeParams, mask: int):
-        # _check_params inlined: every word of every listing passes here
-        if not isinstance(params, LatticeParams):
-            raise DomainError(f"need a LatticeParams, got {type(params).__name__}")
+        _check_params(params)
         if type(mask) is not int:
             raise DomainError(f"a word mask must be an int, got {mask!r}")
         if not 0 <= mask < (1 << params.n):
@@ -200,6 +198,16 @@ class Word:
         self.params = params
         self.mask = mask
         self._hash = hash((params.n, params.r, mask))
+
+    @classmethod
+    def _from_mask(cls, params: LatticeParams, mask: int) -> "Word":
+        # trusted constructor: mask must be below 2^n.  A listing makes
+        # one word per mask of a rank level, past the checks of __init__
+        w = object.__new__(cls)
+        w.params = params
+        w.mask = mask
+        w._hash = hash((params.n, params.r, mask))
+        return w
 
     @property
     def values(self) -> tuple:
@@ -514,7 +522,25 @@ def _canonical_levels(params: LatticeParams, order: GenOrder) -> tuple:
 def enumerate_words(params: LatticeParams) -> list:
     """All 2^n words in canonical order (``GenOrder.OUT_IN``)."""
     _check_params(params)
-    return [Word(params, m) for level in _canonical_levels(params, GenOrder.OUT_IN) for m in level]
+    word = Word._from_mask
+    return [word(params, m) for level in _canonical_levels(params, GenOrder.OUT_IN) for m in level]
+
+
+def _side_texts(params: LatticeParams) -> tuple:
+    """The two halves of every canonical string of L(n, r): ``pos[s]``,
+    positive side s and the bar, and ``neg[t]``, negative side t.  The
+    word with mask m reads ``pos[m & (2^r - 1)] + neg[m >> r]``."""
+    r, m = params.r, params.num_neg
+    return [_pos_text(r, s) + "|" for s in range(1 << r)], [_neg_text(m, t) for t in range(1 << m)]
+
+
+def _word_texts(params: LatticeParams, words):
+    """``str(w)`` of each word of L(n, r) in ``words``, in order, read
+    from one table per side."""
+    pos, neg = _side_texts(params)
+    r = params.r
+    low = (1 << r) - 1
+    return (pos[w.mask & low] + neg[w.mask >> r] for w in words)
 
 
 def _check_params(params) -> None:
@@ -541,7 +567,8 @@ def enumerate_d_slice(params: LatticeParams, d: int) -> list:
 @lru_cache(maxsize=256)
 def _d_slice_words(params: LatticeParams, d: int) -> tuple:
     levels = _canonical_levels(params, GenOrder.OUT_IN)
-    return tuple(Word(params, m) for level in levels for m in level if m.bit_count() == d)
+    word = Word._from_mask
+    return tuple(word(params, m) for level in levels for m in level if m.bit_count() == d)
 
 
 @lru_cache(maxsize=64)

@@ -9,9 +9,7 @@ independent routes are provided:
   factorization L(n, r) = L(r, r) x L(n-r, 0);
 * ``s_bruteforce``: a direct census of all 2^n subsets.
 
-All three agree; the CSV emitter records them side by side.  The
-public functions check their arguments on every call; the census
-checks ``n_max`` once and reads the three unchecked bodies.
+All three agree; the CSV emitter records them side by side.
 """
 
 from __future__ import annotations
@@ -44,6 +42,10 @@ def total_rank(n: int, r: int) -> int:
     (n, r) but without building one."""
     if type(n) is not int or type(r) is not int or not 0 <= r <= n:
         raise DomainError(f"need ints 0 <= r <= n, got n={n!r}, r={r!r}")
+    return _total_rank(n, r)
+
+
+def _total_rank(n: int, r: int) -> int:
     return comb(r + 1, 2) + comb(n - r + 1, 2)
 
 
@@ -60,7 +62,7 @@ def _s(n: int, r: int, k: int) -> int:
     if r == n:
         return _s(n, 0, k)
     m = n - r
-    prev_top = total_rank(n - 1, r)
+    prev_top = _total_rank(n - 1, r)
     if k < m:
         return _s(n - 1, r, k)
     if k <= prev_top:
@@ -77,12 +79,8 @@ def s_recursive(n: int, r: int, k: int) -> int:
 def s_convolution(n: int, r: int, k: int) -> int:
     """Count via the Cauchy product of the two one-sided factors."""
     _check_args(n, r, k)
-    return _convolution(n, r, k)
-
-
-def _convolution(n: int, r: int, k: int) -> int:
-    top_left = comb(r + 1, 2)  # total_rank(r, r)
-    top_right = comb(n - r + 1, 2)  # total_rank(n - r, n - r)
+    top_left = _total_rank(r, r)
+    top_right = _total_rank(n - r, n - r)
     lo = max(0, k - top_right)
     hi = min(k, top_left)
     return sum(_s(r, r, i) * _s(n - r, n - r, k - i) for i in range(lo, hi + 1))
@@ -90,9 +88,7 @@ def _convolution(n: int, r: int, k: int) -> int:
 
 @lru_cache(maxsize=None)
 def _census(n: int, r: int) -> tuple:
-    """The number of words of each rank of L(n, r), from the rank of
-    every subset."""
-    counts = [0] * (total_rank(n, r) + 1)
+    counts = [0] * (_total_rank(n, r) + 1)
     for rk in _mask_ranks(n, r):
         counts[rk] += 1
     return tuple(counts)
@@ -152,11 +148,10 @@ def census_rows(n_max: int):
     check_census_n_max(n_max)
     for n in range(n_max + 1):
         for r in range(n + 1):
-            census = _census(n, r)
-            for k in range(total_rank(n, r) + 1):
-                a = _s(n, r, k)
-                b = _convolution(n, r, k)
-                c = census[k]
+            for k in range(_total_rank(n, r) + 1):
+                a = s_recursive(n, r, k)
+                b = s_convolution(n, r, k)
+                c = s_bruteforce(n, r, k)
                 yield {
                     "n": n,
                     "r": r,

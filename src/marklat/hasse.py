@@ -49,8 +49,7 @@ from .core import (
     _canonical_levels,
     _check_params,
     _check_word,
-    _neg_text,
-    _pos_text,
+    _side_texts,
     delta,
 )
 from .errors import DomainError
@@ -224,9 +223,8 @@ def _quoted_names(params: LatticeParams) -> tuple:
     mask, built from the texts of its two sides.  The string holds only
     digits, bars and commas, so the quoted text is at once its DOT
     identifier and its JSON string."""
-    r, m = params.r, params.num_neg
-    pos = [f'"{_pos_text(r, s)}|' for s in range(1 << r)]
-    return tuple(p + f'{_neg_text(m, s)}"' for s in range(1 << m) for p in pos)
+    pos, neg = _side_texts(params)
+    return tuple(f'"{p}{t}"' for t in neg for p in pos)
 
 
 def _cover_blocks(diagram: HasseDiagram, names: tuple, lead: str, mid: str, sep: str, end: str):

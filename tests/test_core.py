@@ -11,6 +11,7 @@ from marklat.core import (
     Word,
     ZERO,
     _d_slice,
+    _word_texts,
     bool_intersect,
     bool_union,
     cartesian_merge,
@@ -539,6 +540,18 @@ class TestEnumeration:
             for r in range(0, n + 1):
                 p = LatticeParams(n, r)
                 assert set(enumerate_words(p)) == set(all_words(p))
+
+    def test_listed_words_are_the_checked_words(self):
+        # listings build their words past the checks of Word(); each must
+        # equal, hash, print and read back as the checked word of its mask
+        for n, r in [(0, 0), (4, 0), (4, 4), (11, 5), (12, 10)]:
+            p = LatticeParams(n, r)
+            words = enumerate_words(p)
+            top_slice = enumerate_d_slice(p, n) if n else []
+            for w in words + top_slice:
+                want = Word(p, w.mask)
+                assert (w, hash(w), w.params, repr(w)) == (want, hash(want), p, repr(want))
+            assert list(_word_texts(p, words)) == [str(w) for w in words]
 
     def test_ascending_rank_order(self):
         p = LatticeParams(6, 3)
