@@ -19,15 +19,16 @@ d-mark slice) over all weighted labelings (gamma_tilde) or over the
 representable ones (gamma).
 
 One walk, an explicit-stack search over the masks, sits behind
-``enumerate_wbm``.  It starts from every word a weighted labeling must
-make P, so each branch it pushes holds one and it tests no conflicts.
-A state is its P-region and its undecided words, the latter as a mask
-over positions in the top-down decision order: the next word to decide
-is its lowest set bit.  That order, the closures and the root state are
-built once per lattice (``_tables``).
-Every minimum (the report's two, psi's over all r) is a branch and
-bound over it, ``_lower``, cutting the subtrees that cannot beat the
-best labeling so far.  The report's own loop only counts labelings.
+``enumerate_wbm``.  Its root is P on every word a weighted labeling
+must make P, then the N step on the negative unit, so each branch it
+pushes holds one and it tests no conflicts.  A state is its P-region
+and its undecided words, the latter as a mask over positions in the
+top-down decision order: the next word to decide is its lowest set bit.
+That order, the closures and the root are built once per lattice
+(``_tables``).  Every minimum (the report's two, psi's over all r) is
+one branch and bound over such walks, ``_lower``; past ``n_guard`` it
+refuses before building anything of size 2^n.  The report's own loop
+only counts labelings.
 
 These notions degenerate when no negative mark exists (r = n): the
 negative witness word is missing, so enumeration yields nothing there
@@ -44,9 +45,7 @@ from math import comb, inf
 from typing import Iterator, Optional
 
 from . import hasse
-from .core import BooleanMap, LatticeParams, Word, _check_d, _check_params, _d_slice
-# enumerate_words is looked up here by bench/spans.py, which traces it
-from .core import enumerate_words  # noqa: F401
+from .core import BooleanMap, LatticeParams, _check_d, _check_params, _d_slice, enumerate_words
 from .errors import DomainError, ResourceLimitError
 from .feasibility import feasible_point
 from .weights import NrFunction, induced_map
@@ -189,9 +188,10 @@ def _tables(params: LatticeParams):
     as a labeling mask.  Turning ``decision[k]`` N decides its
     down-closure, N, and the up-closure of its complement, P; ``n_keep[k]``
     is the position mask of every other word.  ``root`` is the walk's
-    first state ``(pos, undecided)``, or None where the walk yields
-    nothing: at r = 0 the full word, P, is the bottom, and at r = n no
-    word is negative.
+    first state ``(pos, undecided)``: P on the words every weighted
+    labeling makes P, then the N step on the negative unit.  It is None
+    where the walk yields nothing: at r = 0 the full word, P, is the
+    bottom, and at r = n no word is negative.
     """
     diagram = hasse.build(params)
     covers = list(diagram.cover_masks())
@@ -205,38 +205,37 @@ def _tables(params: LatticeParams):
     up = [1 << m for m in range(full + 1)]
     for lo, hi in reversed(covers):
         up[lo] |= up[hi]
-    # complement reverses the order, so the up-closure of m ^ full is the
-    # complement of the down-closure of m, and the words N decides on m
-    # are the down-closure of {m, m ^ full}: close what they leave over
-    # positions, intersecting down the covers
+    # N on m decides {w, w ^ full : w <= m}: its down-closure, N, and, as
+    # complement reverses the order, the up-closure of m ^ full, P.  Close
+    # what they leave over positions, intersecting up the covers
     every = (1 << (full + 1)) - 1
     keep = [every ^ (1 << where[m] | 1 << where[m ^ full]) for m in range(full + 1)]
     for lo, hi in covers:
         keep[hi] &= keep[lo]
     n_keep = tuple(keep[m] for m in decision)
 
-    # the zero and full words are P, the negative unit N, its complement P,
-    # and so is each word above its complement (N would put both in N).
-    # The one conflict left: at r = 0 the full word, P, is the bottom
+    # the zero and full words are P, and so is each word above its
+    # complement (N would put both in N): an up-set, which meets the
+    # negative unit's down-set only if it holds the unit, as at r = 0,
+    # where the full word is the bottom.  Otherwise the root is the N step
+    # on the unit
     root = None
     if params.r < params.n:
         unit = 1 << params.r
-        pos = up[0] | up[full] | up[unit ^ full]
+        pos = up[0] | up[full]
         pos |= sum(1 << m for m in range(full + 1) if up[m ^ full] >> m & 1)
-        # word m ^ full is full - m, so complement mirrors a labeling mask:
-        # the unit's down-set mirrors its complement's up-set
-        neg = int(f"{up[unit ^ full]:0{full + 1}b}"[::-1], 2)
-        if not pos & neg:
-            # bits[m] is word m's bit; read them last position first
-            bits = f"{pos | neg:0{full + 1}b}"[::-1]
-            root = (pos, every ^ int("".join(bits[m] for m in reversed(decision)), 2))
+        if not pos >> unit & 1:
+            # bits[full - m] is word m's bit; read them last position first
+            bits = f"{pos:0{full + 1}b}"
+            decided = int("".join(bits[full - m] for m in reversed(decision)), 2)
+            root = (pos | up[unit ^ full], keep[unit] & ~decided)
     return tuple(up), n_keep, tuple(decision), root
 
 
 class _Incumbent:
-    """The best result so far of a minimum, or of ``psi`` across r, and
-    its size on a slice mask: the walk cuts every state whose P-region
-    already holds ``size`` words of ``slice``, and :func:`_lower` lowers it."""
+    """The best result so far of :func:`_lower` and its size on a slice
+    mask: the walk cuts every state whose P-region already holds ``size``
+    words of ``slice``, and :func:`_lower` lowers it."""
 
     __slots__ = ("slice", "size", "best")
 
@@ -244,10 +243,19 @@ class _Incumbent:
         self.slice, self.size, self.best = slice_mask, size, None
 
 
-def _check_limits(cap, n_guard) -> None:
-    """A domain error unless cap and n_guard are ints and cap >= 0."""
+def _check_limits(lattices, cap, n_guard) -> None:
+    """A domain error unless cap and n_guard are ints and cap >= 0, then a
+    resource error for any of ``lattices`` past the guard: before anything
+    of size 2^n is built."""
     if type(cap) is not int or type(n_guard) is not int or cap < 0:
         raise DomainError(f"need an int cap >= 0 and an int n_guard, got {cap!r} and {n_guard!r}")
+    for params in lattices:
+        if params.n > n_guard:
+            raise ResourceLimitError(
+                f"out of desk scale: n={params.n} exceeds the enumeration guard "
+                f"{n_guard} (override n_guard to force)",
+                count=0,
+            )
 
 
 def enumerate_wbm(
@@ -260,23 +268,17 @@ def enumerate_wbm(
     """Yield every weighted labeling of L(n, r), each exactly once, in a
     deterministic order (words are decided top rank first, N before P).
 
-    Raises a resource error when n exceeds ``n_guard`` or more than
-    ``cap`` labelings would be produced, and a domain error unless both
-    are ints and ``cap >= 0``.  At r = n the conditions are unspecified
+    Raises a resource error when n exceeds ``n_guard``, at once, or more
+    than ``cap`` labelings would be produced, and a domain error, first,
+    unless both are ints and ``cap >= 0``.  At r = n the conditions are unspecified
     (no negative mark), so nothing is yielded.
 
-    ``_incumbent`` is a minimum's best so far, or ``psi``'s across r:
-    only the labelings below its size on its slice, as the caller lowers
-    it, are yielded and counted against ``cap``.
+    ``_incumbent`` is the best so far of :func:`_lower`: only the
+    labelings below its size on its slice, as the caller lowers it, are
+    yielded and counted against ``cap``.
     """
     _check_params(params)
-    _check_limits(cap, n_guard)
-    if params.n > n_guard:
-        raise ResourceLimitError(
-            f"out of desk scale: n={params.n} exceeds the enumeration guard "
-            f"{n_guard} (override n_guard to force)",
-            count=0,
-        )
+    _check_limits((params,), cap, n_guard)
     if params.r == params.n:
         return iter(())
     return _enumerate_wbm(params, cap, _incumbent)
@@ -403,19 +405,16 @@ class ExtremalResult:
     witness: Optional[NrFunction] = None
 
 
-def _slice_mask(params: LatticeParams, d: Optional[int]) -> int:
-    """Labeling mask of the words a minimum counts: those on d marks, or
-    all words when d is None.  Checks that the extremal numbers are
-    specified for r and d."""
+def _check_slice(params: LatticeParams, d: Optional[int]) -> None:
+    """A domain error unless the extremal numbers are specified for r and
+    for d, a mark count or None (all words)."""
     _check_params(params)
     if not 1 <= params.r <= params.n - 1:
         raise DomainError(
             f"extremal numbers are unspecified outside 1 <= r <= n-1, got {params}"
         )
-    if d is None:
-        return (1 << (1 << params.n)) - 1
-    _check_d(d, params.n)
-    return _d_slice(params.n, d)
+    if d is not None:
+        _check_d(d, params.n)
 
 
 def _floor(n: int, d: Optional[int], representable: bool) -> Optional[int]:
@@ -438,34 +437,39 @@ def _floor(n: int, d: Optional[int], representable: bool) -> Optional[int]:
     return None
 
 
-def _lower(incumbent, params, representable, floor, cap, n_guard) -> None:
-    """Lower the incumbent over the walk on ``params``, a branch and bound:
-    the walk yields, and counts against ``cap``, only labelings below its
-    size, and each (if ``representable``, each that the LP accepts, with
-    its witness) becomes its best.  The walk order is a full census's, so
-    the best is the census's first of least size, when that size is below
-    the start.  It stops at ``floor``, which nothing goes below.
-    """
-    for bmap in enumerate_wbm(params, cap=cap, n_guard=n_guard, _incumbent=incumbent):
-        witness = None
-        if representable:
-            witness = is_representable(bmap).witness
-            if witness is None:
-                continue
-        incumbent.size = (bmap.mask & incumbent.slice).bit_count()
-        incumbent.best = ExtremalResult(incumbent.size, bmap, witness)
-        if incumbent.size == floor:
-            break
+def _lower(n, lattices, d, representable, cap, n_guard, size=inf) -> Optional[ExtremalResult]:
+    """The least P-region size below ``size`` on the d-mark slice (all
+    words when d is None) over the weighted (if ``representable``, the
+    representable, with a witness) labelings of ``lattices``, all of rank
+    n, or None.  A branch and bound: the walks, in turn, yield and count
+    against ``cap`` only labelings below the best so far.  Their order is
+    a full census's, so the best is the census's first of least size.  It
+    stops at the floor, which nothing goes below."""
+    _check_limits(lattices, cap, n_guard)
+    incumbent = _Incumbent((1 << (1 << n)) - 1 if d is None else _d_slice(n, d), size)
+    floor = _floor(n, d, representable)
+    for params in lattices:
+        for bmap in enumerate_wbm(params, cap=cap, n_guard=n_guard, _incumbent=incumbent):
+            witness = None
+            if representable:
+                witness = is_representable(bmap).witness
+                if witness is None:
+                    continue
+            incumbent.size = (bmap.mask & incumbent.slice).bit_count()
+            incumbent.best = ExtremalResult(incumbent.size, bmap, witness)
+            if incumbent.size == floor:
+                return incumbent.best
+    return incumbent.best
 
 
 def _minimum(params, d, representable, cap, n_guard) -> ExtremalResult:
     """The least P-region size on the d-mark slice (all words when d is
     None) over the weighted or the representable labelings; see :func:`_lower`."""
-    incumbent = _Incumbent(_slice_mask(params, d))
-    _lower(incumbent, params, representable, _floor(params.n, d, representable), cap, n_guard)
-    if incumbent.best is None:
+    _check_slice(params, d)
+    best = _lower(params.n, (params,), d, representable, cap, n_guard)
+    if best is None:
         raise DomainError(f"no admissible labeling exists for {params}")
-    return incumbent.best
+    return best
 
 
 def gamma_tilde(params, *, cap=DEFAULT_CAP, n_guard=DEFAULT_N_GUARD) -> ExtremalResult:
@@ -496,27 +500,21 @@ def gamma_d(params, d, *, cap=DEFAULT_CAP, n_guard=DEFAULT_N_GUARD) -> ExtremalR
 
 
 def psi(n: int, d: int, *, cap=DEFAULT_CAP, n_guard=DEFAULT_N_GUARD) -> ExtremalResult:
-    """Minimize gamma_d over r.
-
-    The walks for r = 1..n-1 share one incumbent, so each r yields only
-    labelings below the best of the earlier r (``cap`` counts those) and
-    the first r to reach the minimum keeps it.  The r = n endpoint's
-    closed form C(n, d) (no negative mark, so every word sums >= 0) sets
-    the start size C(n, d) + 1; it is the result, with no minimizer, only
-    at n = 1.  When d divides n the loop ends at the Manickam-Singhi floor
-    C(n-1, d-1) (JCTA 48, 1988): no later r can go below it.
+    """Minimize gamma_d over r: one :func:`_lower` over the walks for
+    r = 1..n-1, so each r yields only labelings below the best of the
+    earlier r (``cap`` counts those) and the first r to reach the minimum
+    keeps it.  The r = n endpoint's closed form C(n, d) (no negative mark,
+    so every word sums >= 0) sets the start size C(n, d) + 1; it is the
+    result, with no minimizer, only at n = 1, where no r is walked.  When
+    d divides n the search ends at the Manickam-Singhi floor C(n-1, d-1)
+    (JCTA 48, 1988): no later r can go below it.
     """
     if type(n) is not int or n < 1:
         raise DomainError(f"need an int n >= 1, got n={n!r}")
     _check_d(d, n)
-    _check_limits(cap, n_guard)
-    floor = _floor(n, d, True)
-    incumbent = _Incumbent(_d_slice(n, d), comb(n, d) + 1)
-    for r in range(1, n):
-        _lower(incumbent, LatticeParams(n, r), True, floor, cap, n_guard)
-        if incumbent.size == floor:
-            break
-    return incumbent.best or ExtremalResult(comb(n, d), None, None)
+    lattices = [LatticeParams(n, r) for r in range(1, n)]
+    best = _lower(n, lattices, d, True, cap, n_guard, comb(n, d) + 1)
+    return best or ExtremalResult(comb(n, d), None, None)
 
 
 @dataclass(frozen=True)
@@ -546,7 +544,7 @@ def wb_vs_rwb_report(
     """Count every weighted labeling (``cap`` bounds them all) and the
     representable ones, keeping (optionally) the others; the minima, the
     minimizer and its witness come from :func:`_minimum`, as in ``gamma_d``."""
-    _slice_mask(params, d)
+    _check_slice(params, d)
     wb = rwb = 0
     bad = [] if collect_non_representable else None
     for bmap in enumerate_wbm(params, cap=cap, n_guard=n_guard):
@@ -570,8 +568,7 @@ def wb_vs_rwb_report(
 def map_to_json(bmap: BooleanMap) -> dict:
     """JSON form of a labeling: its P-words in canonical order."""
     params, p = _params_of(bmap), bmap.mask
-    levels = hasse.build(params).mask_levels
-    return {"p_set": [str(Word(params, m)) for level in levels for m in level if p >> m & 1]}
+    return {"p_set": [str(w) for w in enumerate_words(params) if p >> w.mask & 1]}
 
 
 def report_to_json(report: ExtremalReport) -> dict:

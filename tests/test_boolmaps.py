@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import sys
+import tracemalloc
 from math import comb
 
 import pytest
@@ -329,12 +330,14 @@ class TestEnumerate:
         bad = [{"cap": c} for c in (-3, -1, 1.5, 2.0, True, "5", None)]
         bad += [{"n_guard": g} for g in (5.0, False, "5", None)]
         for limits in bad:
-            # raised eagerly, and at r = n too, where nothing is walked
-            for p in (LatticeParams(3, 1), LatticeParams(3, 3)):
+            # raised eagerly, at r = n too, where nothing is walked, and
+            # before the guard refuses n = 8
+            for p in (LatticeParams(3, 1), LatticeParams(3, 3), LatticeParams(8, 4)):
                 with pytest.raises(DomainError, match="cap"):
                     enumerate_wbm(p, **limits)
-            with pytest.raises(DomainError, match="cap"):
-                gamma(LatticeParams(3, 1), **limits)
+            for p in (LatticeParams(3, 1), LatticeParams(8, 4)):
+                with pytest.raises(DomainError, match="cap"):
+                    gamma(p, **limits)
         assert list(enumerate_wbm(LatticeParams(3, 1), cap=1)) != []
         with pytest.raises(ResourceLimitError):
             list(enumerate_wbm(LatticeParams(3, 1), cap=0))
@@ -658,6 +661,32 @@ class TestGamma:
                     assert quiet.non_representable is None
                     assert dataclasses.replace(quiet, non_representable=bad) == report
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p: gamma(p),
+            lambda p: gamma_tilde(p),
+            lambda p: gamma_d(p, 12),
+            lambda p: gamma_tilde_d(p, 12),
+            lambda p: psi(24, 12),
+            lambda p: wb_vs_rwb_report(p),
+            lambda p: wb_vs_rwb_report(p, 12),
+        ],
+    )
+    def test_the_guard_refuses_before_anything_of_size_2_to_the_n(self, call):
+        # a 2^24-bit slice mask alone is 2 MB, and one table entry per word
+        # more than that; a cached mask would hide the first
+        guard = "out of desk scale: n=24 exceeds the enumeration guard 5"
+        _d_slice.cache_clear()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=guard):
+                call(LatticeParams(24, 12))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_cap_counts_the_labelings_the_pruned_walk_reaches(self):
         # L(4, 2) has 8 weighted labelings and its minimum is the first
         assert gamma(LatticeParams(4, 2), cap=1).value == 9
@@ -776,6 +805,9 @@ class TestGamma:
             for call in entry_points:
                 with pytest.raises(DomainError, match="int d"):
                     call(d)
+        # before the guard, which refuses n = 8
+        with pytest.raises(DomainError, match="int d"):
+            gamma_d(LatticeParams(8, 4), 9)
 
     def test_gamma_equals_min_alpha_over_representable_maps(self):
         # the two routes to the extremal number agree
@@ -791,6 +823,8 @@ class TestPsi:
     def test_small_values(self):
         assert psi(1, 1).value == 1
         assert psi(1, 1).minimizer is None
+        # no r is walked at n = 1, so no guard refuses it
+        assert psi(1, 1, n_guard=0) == ExtremalResult(1, None, None)
         assert psi(4, 2).value == 3
         assert psi(4, 2).minimizer.params == LatticeParams(4, 1)
 
@@ -873,6 +907,9 @@ class TestPsi:
             psi(3, 0)
         with pytest.raises(DomainError):
             psi(3, 4)
+        # before the guard, which refuses n = 6
+        with pytest.raises(DomainError, match="int d"):
+            psi(6, 7)
 
     def test_bool_n_rejected(self):
         with pytest.raises(DomainError, match="int n"):
@@ -888,8 +925,9 @@ class TestPsi:
 
     @pytest.mark.parametrize("limits", [{"cap": "x"}, {"cap": -1}, {"n_guard": 2.5}])
     def test_bad_limits_rejected_before_the_loop_over_r(self, limits):
-        # n = 1 enumerates no r, so the limits once went unchecked there
-        for n in (1, 2):
+        # n = 1 enumerates no r, so the limits once went unchecked there;
+        # n = 8 is past the guard, which refuses only valid limits
+        for n in (1, 2, 8):
             with pytest.raises(DomainError, match="cap"):
                 psi(n, 1, **limits)
 

@@ -315,6 +315,31 @@ class TestSubprocess:
         assert proc.returncode == 0
         assert proc.stdout.splitlines() == ["0|1", "1|1", "0|0", "1|0"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gamma", "--n", "40", "--r", "20"],
+            ["gamma", "--n", "40", "--r", "20", "--d", "20"],
+            ["report", "--n", "40", "--r", "20"],
+        ],
+    )
+    def test_guard_refuses_before_allocating(self, argv):
+        # a 2^40-bit mask is 128 GiB: under a 2 GiB address space limit,
+        # building one first ends in MemoryError (exit 5), not the guard
+        pytest.importorskip("resource")
+        limit = 2 << 30
+        code = (
+            "import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "from marklat.cli import main\n"
+            f"sys.exit(main({argv!r}))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert "out of desk scale" in proc.stderr
+
     def test_console_script_if_installed(self):
         import shutil
 
