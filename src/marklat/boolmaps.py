@@ -24,11 +24,11 @@ must make P, then the N step on the negative unit, so each branch it
 pushes holds one and it tests no conflicts.  A state is its P-region
 and its undecided words, the latter as a mask over positions in the
 top-down decision order: the next word to decide is its lowest set bit.
-That order, the closures and the root are built once per lattice
-(``_tables``).  Every minimum (the report's two, psi's over all r) is
-one branch and bound over such walks, ``_lower``; past ``n_guard`` it
-refuses before building anything of size 2^n.  The report's own loop
-only counts labelings.
+That order, the closures and the root are built per lattice, and only
+the last lattice's are kept (``_tables``).  Every minimum (the report's
+two, psi's over all r) is one branch and bound over such walks,
+``_lower``; past ``n_guard`` it refuses before building anything of
+size 2^n.  The report's own loop only counts labelings.
 
 These notions degenerate when no negative mark exists (r = n): the
 negative witness word is missing, so enumeration yields nothing there
@@ -123,20 +123,14 @@ def _shifted(x: int, shift: int) -> int:
 @lru_cache(maxsize=16)
 def _cover_shifts(params: LatticeParams) -> tuple:
     """The cover relation as ``(shift, lows)`` pairs, one per distinct
-    ``hi - lo`` over the cover masks (at most n of them): ``lows`` is the
-    labeling mask of the lower words of the covers with that shift, so
-    shifting ``x & lows`` by ``shift`` moves each such word of x onto its
-    cover."""
-    # one bit per word mask: set each shift's bits in place, convert once
-    size = ((1 << params.n) + 7) >> 3
+    ``hi - lo`` over the cover masks (at most n of them), in first-seen
+    order: ``lows`` is the labeling mask of the lower words of the covers
+    with that shift, so shifting ``x & lows`` by ``shift`` moves each such
+    word of x onto its cover."""
     lows = {}
     for lo, hi in hasse.build(params).cover_masks():
-        shift = hi - lo
-        bits = lows.get(shift)
-        if bits is None:
-            bits = lows[shift] = bytearray(size)
-        bits[lo >> 3] |= 1 << (lo & 7)
-    return tuple((shift, int.from_bytes(bits, "little")) for shift, bits in lows.items())
+        lows[hi - lo] = lows.get(hi - lo, 0) | 1 << lo
+    return tuple(lows.items())
 
 
 def _p_covers(params: LatticeParams, pos: int) -> int:
@@ -177,7 +171,7 @@ def _row_halves(params: LatticeParams) -> tuple:
     return tuple(pos_half), tuple(neg_half)
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def _tables(params: LatticeParams):
     """Per-lattice machinery for the labeling search, ``(up, n_keep,
     decision, root)``.
@@ -192,6 +186,10 @@ def _tables(params: LatticeParams):
     labeling makes P, then the N step on the negative unit.  It is None
     where the walk yields nothing: at r = 0 the full word, P, is the
     bottom, and at r = n no word is negative.
+
+    ``up`` and ``n_keep`` hold 2 * 4^n bits, so one lattice is cached: the
+    report's census and its minima walk it one after another, and psi
+    walks each r once.  The next lattice's tables replace it.
     """
     diagram = hasse.build(params)
     covers = list(diagram.cover_masks())
@@ -225,9 +223,7 @@ def _tables(params: LatticeParams):
         pos = up[0] | up[full]
         pos |= sum(1 << m for m in range(full + 1) if up[m ^ full] >> m & 1)
         if not pos >> unit & 1:
-            # bits[full - m] is word m's bit; read them last position first
-            bits = f"{pos:0{full + 1}b}"
-            decided = int("".join(bits[full - m] for m in reversed(decision)), 2)
+            decided = sum(1 << where[m] for m in _bits(pos))
             root = (pos | up[unit ^ full], keep[unit] & ~decided)
     return tuple(up), n_keep, tuple(decision), root
 

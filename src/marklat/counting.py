@@ -4,12 +4,13 @@
 independent routes are provided:
 
 * ``s_recursive``: the peeling recursion that removes the separating
-  mark, splitting L(n, r) into two translated copies of L(n-1, r);
+  mark, from L(0, 0) up: L(n, r) is two shifted copies of L(n-1, r);
 * ``s_convolution``: the Cauchy product coming from the cartesian
   factorization L(n, r) = L(r, r) x L(n-r, 0);
 * ``s_bruteforce``: a direct census of all 2^n subsets.
 
-All three agree; the CSV emitter records them side by side.
+All three agree; the CSV emitter records them side by side.  The first
+two build a lattice's whole rank vector, even to read one k of it.
 """
 
 from __future__ import annotations
@@ -55,35 +56,32 @@ def _check_args(n: int, r: int, k: int):
         raise DomainError(f"need an int rank k in 0..{top} for L({n}, {r}), got k={k!r}")
 
 
-@lru_cache(maxsize=None)
-def _s(n: int, r: int, k: int) -> int:
-    if n == 0:
-        return 1
-    if r == n:
-        return _s(n, 0, k)
-    m = n - r
-    prev_top = _total_rank(n - 1, r)
-    if k < m:
-        return _s(n - 1, r, k)
-    if k <= prev_top:
-        return _s(n - 1, r, k) + _s(n - 1, r, k - m)
-    return _s(n - 1, r, k - m)
+# a census row reads three vectors: its lattice's and its two factors'
+@lru_cache(maxsize=3)
+def _peeled(n: int, r: int) -> tuple:
+    """``s(n, r, k)`` at index k.  Peeling neg(n - r) off L(n, r) leaves
+    L(n-1, r) and a copy n - r ranks up, down to L(r, r), which peels as
+    its conjugate L(r, 0): so start from [1] and add a copy shifted by
+    1..r, then by 1..n-r."""
+    counts = [1]
+    for shift in (*range(1, r + 1), *range(1, n - r + 1)):
+        pad = [0] * shift
+        counts = [a + b for a, b in zip(counts + pad, pad + counts)]
+    return tuple(counts)
 
 
 def s_recursive(n: int, r: int, k: int) -> int:
     """Count via the peeling recursion on the separating mark."""
     _check_args(n, r, k)
-    return _s(n, r, k)
+    return _peeled(n, r)[k]
 
 
 def s_convolution(n: int, r: int, k: int) -> int:
     """Count via the Cauchy product of the two one-sided factors."""
     _check_args(n, r, k)
-    top_left = _total_rank(r, r)
-    top_right = _total_rank(n - r, n - r)
-    lo = max(0, k - top_right)
-    hi = min(k, top_left)
-    return sum(_s(r, r, i) * _s(n - r, n - r, k - i) for i in range(lo, hi + 1))
+    left, right = _peeled(r, r), _peeled(n - r, n - r)
+    lo, hi = max(0, k + 1 - len(right)), min(k + 1, len(left))
+    return sum(left[i] * right[k - i] for i in range(lo, hi))
 
 
 @lru_cache(maxsize=None)
@@ -123,8 +121,8 @@ class RankPolynomial:
 
 
 def rank_polynomial(n: int, r: int) -> RankPolynomial:
-    coeffs = tuple(_s(n, r, k) for k in range(total_rank(n, r) + 1))
-    return RankPolynomial(n, r, coeffs)
+    total_rank(n, r)  # the argument check
+    return RankPolynomial(n, r, _peeled(n, r))
 
 
 def check_symmetry(n: int, r: int) -> bool:

@@ -24,7 +24,6 @@ from marklat.boolmaps import (
     psi,
     report_to_json,
     wb_vs_rwb_report,
-    _cover_shifts,
     _tables,
 )
 from marklat.core import (
@@ -33,6 +32,7 @@ from marklat.core import (
     complement,
     enumerate_d_slice,
     enumerate_words,
+    is_cover,
     parse_word,
     _d_slice,
 )
@@ -226,16 +226,16 @@ class TestCheckAxioms:
                     chk = check_axioms(BooleanMap._from_mask(p, mask))
                     assert ("monotone" in chk.violated) == scan
 
-    def test_cover_shifts_match_the_or_fold(self):
-        # the byte-built lows equal one OR per cover pair, in first-seen
-        # shift order, on every L(n, r), n <= 10
-        for n in range(0, 11):
+    def test_cover_shifts_move_each_word_onto_its_covers(self):
+        # against the word-level cover test, not the Hasse diagram the
+        # shifts are built from, on every L(n, r), n <= 6
+        for n in range(0, 7):
             for r in range(0, n + 1):
                 p = LatticeParams(n, r)
-                lows = {}
-                for lo, hi in build(p).cover_masks():
-                    lows[hi - lo] = lows.get(hi - lo, 0) | 1 << lo
-                assert _cover_shifts(p) == tuple(lows.items())
+                words = all_words(p)
+                for w in words:
+                    covers = sum(1 << v.mask for v in words if is_cover(w, v))
+                    assert boolmaps._p_covers(p, 1 << w.mask) == covers
 
     def test_all_p_fails_negative_unit_only(self):
         p = LatticeParams(3, 1)
@@ -426,6 +426,18 @@ class TestEnumerate:
                 decided = pos | down[1 << r]
                 undecided = [k for k, m in enumerate(decision) if not decided >> m & 1]
                 assert root == (pos, sum(1 << k for k in undecided))
+
+    def test_the_search_keeps_one_lattice_of_tables(self):
+        # the tables of L(12, r) are 2 * 4^12 bits, 4 MiB: keeping 16
+        # lattices' retained 41 MiB, keeping the last one's about 6 MiB
+        tracemalloc.start()
+        try:
+            for r in range(1, 12):
+                gamma_tilde(LatticeParams(12, r), n_guard=12)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 10 << 20
 
     def test_complement_maps_down_sets_onto_up_sets(self):
         # the walk forces P on the up-set of i's complement when i turns N

@@ -1,4 +1,7 @@
+import contextlib
 import io
+import sys
+import time
 
 import pytest
 
@@ -178,3 +181,41 @@ class TestCsv:
     def test_non_int_n_max(self, n_max):
         with pytest.raises(DomainError):
             list(census_rows(n_max))
+
+
+@contextlib.contextmanager
+def _shallow_stack():
+    """A recursion limit a few dozen frames above the caller's depth, far
+    below the n = 150 of the tests that run under it."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+class TestLargeN:
+    # q(10) = 10 partitions of 10 into distinct parts; at r = 3 the pos side
+    # adds (1 + x)(1 + x^2)(1 + x^3), and x^10 of that times sum q(k) x^k is 43
+    @pytest.mark.parametrize(
+        "count",
+        [s_recursive, s_convolution, lambda n, r, k: rank_polynomial(n, r).coefficients[k]],
+        ids=["s_recursive", "s_convolution", "rank_polynomial"],
+    )
+    def test_counts_need_no_stack_depth(self, count):
+        start = time.perf_counter()
+        with _shallow_stack():
+            got = [count(150, 0, 10), count(150, 3, 10)]
+        assert got == [10, 43]
+        assert time.perf_counter() - start < 1
+
+    def test_symmetry_needs_no_stack_depth(self):
+        start = time.perf_counter()
+        with _shallow_stack():
+            assert check_symmetry(150, 3)
+            assert check_symmetry(151, 5)
+        assert time.perf_counter() - start < 1
