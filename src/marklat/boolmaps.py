@@ -24,14 +24,15 @@ must make P, then the N step on the negative unit, so each branch it
 pushes holds one and it tests no conflicts.  A state is its P-region
 and its undecided words, the latter as a mask over positions in the
 top-down decision order: the next word to decide is its lowest set bit.
-That order, the closures and the root are built per lattice, and only
-the last lattice's are kept (``_tables``).  Every minimum (the report's
-two, psi's over all r) is one branch and bound over such walks,
-``_lower``; past ``n_guard`` it refuses before building anything of
-size 2^n.  The report's own loop only counts labelings.
+That order, the closures and the root are built for the lattice being
+walked, the last one's dropped first (``_tables``).  Every minimum (the
+report's two, psi's over all r) is one branch and bound over such
+walks, ``_lower``; past ``n_guard`` it refuses before building any
+lattice.  The report's own loop only counts labelings.
 
-These notions degenerate when no negative mark exists (r = n): the
-negative witness word is missing, so enumeration yields nothing there
+These notions degenerate at the ends: at r = n no negative mark exists,
+and at r = 0 the full word, P, is the bottom, so the negative unit
+would be P.  Enumeration yields nothing there, with no tables built,
 and the extremal numbers are restricted to 1 <= r <= n-1.
 """
 
@@ -173,24 +174,23 @@ def _row_halves(params: LatticeParams) -> tuple:
 
 @lru_cache(maxsize=1)
 def _tables(params: LatticeParams):
-    """Per-lattice machinery for the labeling search, ``(up, n_keep,
-    decision, root)``.
+    """Per-lattice machinery for the labeling search, ``(up, keep,
+    decision, root)``, for 1 <= r <= n-1.
 
     ``decision`` lists the word masks top rank first, canonical within a
     rank; the walk keeps its undecided words as a mask over positions in
     it, bit k for ``decision[k]``.  ``up[m]`` is the up-closure of word m
-    as a labeling mask.  Turning ``decision[k]`` N decides its
-    down-closure, N, and the up-closure of its complement, P; ``n_keep[k]``
-    is the position mask of every other word.  ``root`` is the walk's
-    first state ``(pos, undecided)``: P on the words every weighted
-    labeling makes P, then the N step on the negative unit.  It is None
-    where the walk yields nothing: at r = 0 the full word, P, is the
-    bottom, and at r = n no word is negative.
+    as a labeling mask.  Turning word m N decides its down-closure, N,
+    and the up-closure of its complement, P; ``keep[m]`` is the position
+    mask of every other word.  ``root`` is the walk's first state ``(pos,
+    undecided)``: P on the words every weighted labeling makes P, then
+    the N step on the negative unit.
 
-    ``up`` and ``n_keep`` hold 2 * 4^n bits, so one lattice is cached: the
+    ``up`` and ``keep`` hold 2 * 4^n bits, so one lattice is cached: the
     report's census and its minima walk it one after another, and psi
-    walks each r once.  The next lattice's tables replace it.
+    walks each r once.  A miss drops it before building the next.
     """
+    _tables.cache_clear()
     diagram = hasse.build(params)
     covers = list(diagram.cover_masks())
     full = (1 << params.n) - 1
@@ -210,22 +210,17 @@ def _tables(params: LatticeParams):
     keep = [every ^ (1 << where[m] | 1 << where[m ^ full]) for m in range(full + 1)]
     for lo, hi in covers:
         keep[hi] &= keep[lo]
-    n_keep = tuple(keep[m] for m in decision)
 
     # the zero and full words are P, and so is each word above its
-    # complement (N would put both in N): an up-set, which meets the
-    # negative unit's down-set only if it holds the unit, as at r = 0,
-    # where the full word is the bottom.  Otherwise the root is the N step
+    # complement (N would put both in N): an up-set, which misses the
+    # negative unit's down-set for 1 <= r <= n-1.  The root is the N step
     # on the unit
-    root = None
-    if params.r < params.n:
-        unit = 1 << params.r
-        pos = up[0] | up[full]
-        pos |= sum(1 << m for m in range(full + 1) if up[m ^ full] >> m & 1)
-        if not pos >> unit & 1:
-            decided = sum(1 << where[m] for m in _bits(pos))
-            root = (pos | up[unit ^ full], keep[unit] & ~decided)
-    return tuple(up), n_keep, tuple(decision), root
+    unit = 1 << params.r
+    pos = up[0] | up[full]
+    pos |= sum(1 << m for m in range(full + 1) if up[m ^ full] >> m & 1)
+    decided = sum(1 << where[m] for m in _bits(pos))
+    root = (pos | up[unit ^ full], keep[unit] & ~decided)
+    return tuple(up), tuple(keep), tuple(decision), root
 
 
 class _Incumbent:
@@ -239,19 +234,18 @@ class _Incumbent:
         self.slice, self.size, self.best = slice_mask, size, None
 
 
-def _check_limits(lattices, cap, n_guard) -> None:
+def _check_limits(n, walked, cap, n_guard) -> None:
     """A domain error unless cap and n_guard are ints and cap >= 0, then a
-    resource error for any of ``lattices`` past the guard: before anything
-    of size 2^n is built."""
+    resource error if n is past the guard and ``walked`` is non-empty:
+    before any lattice is built."""
     if type(cap) is not int or type(n_guard) is not int or cap < 0:
         raise DomainError(f"need an int cap >= 0 and an int n_guard, got {cap!r} and {n_guard!r}")
-    for params in lattices:
-        if params.n > n_guard:
-            raise ResourceLimitError(
-                f"out of desk scale: n={params.n} exceeds the enumeration guard "
-                f"{n_guard} (override n_guard to force)",
-                count=0,
-            )
+    if walked and n > n_guard:
+        raise ResourceLimitError(
+            f"out of desk scale: n={n} exceeds the enumeration guard "
+            f"{n_guard} (override n_guard to force)",
+            count=0,
+        )
 
 
 def enumerate_wbm(
@@ -266,24 +260,24 @@ def enumerate_wbm(
 
     Raises a resource error when n exceeds ``n_guard``, at once, or more
     than ``cap`` labelings would be produced, and a domain error, first,
-    unless both are ints and ``cap >= 0``.  At r = n the conditions are unspecified
-    (no negative mark), so nothing is yielded.
+    unless both are ints and ``cap >= 0``.  Nothing is yielded, and no
+    table built, at r = n, where the conditions are unspecified (no
+    negative mark), or at r = 0, where the full word is the bottom and P,
+    so the negative unit would be P too.
 
     ``_incumbent`` is the best so far of :func:`_lower`: only the
     labelings below its size on its slice, as the caller lowers it, are
     yielded and counted against ``cap``.
     """
     _check_params(params)
-    _check_limits((params,), cap, n_guard)
-    if params.r == params.n:
+    _check_limits(params.n, (params,), cap, n_guard)
+    if params.r in (0, params.n):
         return iter(())
     return _enumerate_wbm(params, cap, _incumbent)
 
 
 def _enumerate_wbm(params, cap, incumbent) -> Iterator[BooleanMap]:
-    up, n_keep, decision, root = _tables(params)
-    if root is None:
-        return
+    up, keep, decision, root = _tables(params)
     full = (1 << params.n) - 1
 
     emitted = 0
@@ -317,7 +311,7 @@ def _enumerate_wbm(params, cap, incumbent) -> Iterator[BooleanMap]:
         # no word above i: the P branch decides i alone.  The N branch,
         # down[i] and up[i ^ full], runs first
         stack.append((pos | up[i], undecided ^ low))
-        stack.append((pos | up[i ^ full], undecided & n_keep[k]))
+        stack.append((pos | up[i ^ full], undecided & keep[i]))
 
 
 @dataclass(frozen=True)
@@ -433,18 +427,20 @@ def _floor(n: int, d: Optional[int], representable: bool) -> Optional[int]:
     return None
 
 
-def _lower(n, lattices, d, representable, cap, n_guard, size=inf) -> Optional[ExtremalResult]:
+def _lower(n, rs, d, representable, cap, n_guard, size=inf) -> Optional[ExtremalResult]:
     """The least P-region size below ``size`` on the d-mark slice (all
     words when d is None) over the weighted (if ``representable``, the
-    representable, with a witness) labelings of ``lattices``, all of rank
-    n, or None.  A branch and bound: the walks, in turn, yield and count
+    representable, with a witness) labelings of L(n, r) for r in ``rs``,
+    or None.  A branch and bound: the walks, in turn, yield and count
     against ``cap`` only labelings below the best so far.  Their order is
     a full census's, so the best is the census's first of least size.  It
-    stops at the floor, which nothing goes below."""
-    _check_limits(lattices, cap, n_guard)
+    stops at the floor, which nothing goes below.  Each lattice is built
+    as its walk starts, after the limits are checked."""
+    _check_limits(n, rs, cap, n_guard)
     incumbent = _Incumbent((1 << (1 << n)) - 1 if d is None else _d_slice(n, d), size)
     floor = _floor(n, d, representable)
-    for params in lattices:
+    for r in rs:
+        params = LatticeParams(n, r)
         for bmap in enumerate_wbm(params, cap=cap, n_guard=n_guard, _incumbent=incumbent):
             witness = None
             if representable:
@@ -462,7 +458,7 @@ def _minimum(params, d, representable, cap, n_guard) -> ExtremalResult:
     """The least P-region size on the d-mark slice (all words when d is
     None) over the weighted or the representable labelings; see :func:`_lower`."""
     _check_slice(params, d)
-    best = _lower(params.n, (params,), d, representable, cap, n_guard)
+    best = _lower(params.n, (params.r,), d, representable, cap, n_guard)
     if best is None:
         raise DomainError(f"no admissible labeling exists for {params}")
     return best
@@ -508,8 +504,9 @@ def psi(n: int, d: int, *, cap=DEFAULT_CAP, n_guard=DEFAULT_N_GUARD) -> Extremal
     if type(n) is not int or n < 1:
         raise DomainError(f"need an int n >= 1, got n={n!r}")
     _check_d(d, n)
-    lattices = [LatticeParams(n, r) for r in range(1, n)]
-    best = _lower(n, lattices, d, True, cap, n_guard, comb(n, d) + 1)
+    # the guard first: C(n, d) alone takes seconds at n = 10^6, d = n/2
+    _check_limits(n, range(1, n), cap, n_guard)
+    best = _lower(n, range(1, n), d, True, cap, n_guard, comb(n, d) + 1)
     return best or ExtremalResult(comb(n, d), None, None)
 
 

@@ -70,6 +70,11 @@ __all__ = [
 ]
 
 
+def _total_rank(n: int, r: int) -> int:
+    """Rank of the top word of L(n, r), unchecked: C(r+1, 2) + C(n-r+1, 2)."""
+    return comb(r + 1, 2) + comb(n - r + 1, 2)
+
+
 @dataclass(frozen=True)
 class LatticeParams:
     """Parameters (n, r) of a lattice: n nonzero marks, r of them positive."""
@@ -93,8 +98,8 @@ class LatticeParams:
 
     @property
     def total_rank(self) -> int:
-        """Rank of the top word: C(r+1, 2) + C(n-r+1, 2)."""
-        return comb(self.r + 1, 2) + comb(self.n - self.r + 1, 2)
+        """Rank of the top word: see :func:`_total_rank`."""
+        return _total_rank(self.n, self.r)
 
     def nonzero_symbols(self) -> tuple:
         """All n nonzero marks, positive ones first, ascending index."""

@@ -18,9 +18,8 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 
-from .core import _mask_ranks
+from .core import _mask_ranks, _total_rank
 from .errors import DomainError, ResourceLimitError
 
 __all__ = [
@@ -44,10 +43,6 @@ def total_rank(n: int, r: int) -> int:
     if type(n) is not int or type(r) is not int or not 0 <= r <= n:
         raise DomainError(f"need ints 0 <= r <= n, got n={n!r}, r={r!r}")
     return _total_rank(n, r)
-
-
-def _total_rank(n: int, r: int) -> int:
-    return comb(r + 1, 2) + comb(n - r + 1, 2)
 
 
 def _check_args(n: int, r: int, k: int):

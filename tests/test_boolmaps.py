@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import sys
+import time
 import tracemalloc
 from math import comb
 
@@ -391,9 +392,9 @@ class TestEnumerate:
 
     def test_tables_match_the_order_oracle(self):
         for n in range(0, 8):
-            for r in range(0, n + 1):
+            for r in range(1, n):
                 p = LatticeParams(n, r)
-                up, n_keep, decision, _ = _tables(p)
+                up, keep, decision, _ = _tables(p)
                 words, want_up, want_down = leq_table(p)
                 assert list(up) == want_up
                 # top rank first, canonical order within a rank
@@ -405,20 +406,16 @@ class TestEnumerate:
                 full = (1 << n) - 1
                 for k, i in enumerate(decision):
                     decided = want_down[i] | want_up[i ^ full]
-                    keep = [j for j, m in enumerate(decision) if not decided >> m & 1]
-                    assert n_keep[k] == sum(1 << j for j in keep)
+                    undecided = [j for j, m in enumerate(decision) if not decided >> m & 1]
+                    assert keep[decision[k]] == sum(1 << j for j in undecided)
 
     def test_tables_hold_the_walk_root(self):
         # the root of test_every_labeling_holds_the_walk_root, with its
-        # undecided words as positions in the decision order; None at
-        # r = 0, where it conflicts, and at r = n, where nothing is walked
+        # undecided words as positions in the decision order
         for n in range(0, 8):
-            for r in range(0, n + 1):
+            for r in range(1, n):
                 p = LatticeParams(n, r)
                 _, _, decision, root = _tables(p)
-                if r in (0, n):
-                    assert root is None
-                    continue
                 _, up, down = leq_table(p)
                 full = (1 << n) - 1
                 above = sum(1 << m for m in range(full + 1) if up[m ^ full] >> m & 1)
@@ -429,15 +426,28 @@ class TestEnumerate:
 
     def test_the_search_keeps_one_lattice_of_tables(self):
         # the tables of L(12, r) are 2 * 4^12 bits, 4 MiB: keeping 16
-        # lattices' retained 41 MiB, keeping the last one's about 6 MiB
+        # lattices' retained 41 MiB, keeping the last one's about 6 MiB.
+        # Dropping the last lattice's before building the next keeps the
+        # peak within one lattice of that (1.5 MiB above it; 5.2 MiB when
+        # the next was built first)
         tracemalloc.start()
         try:
             for r in range(1, 12):
                 gamma_tilde(LatticeParams(12, r), n_guard=12)
-            retained = tracemalloc.get_traced_memory()[0]
+            retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert retained < 10 << 20
+        assert peak - retained < 4 << 20
+
+    def test_no_tables_where_nothing_is_walked(self):
+        # at r = 0 the full word, P, is the bottom, so the negative unit
+        # would be P; at r = n there is no negative mark
+        for r in (0, 12):
+            p = LatticeParams(12, r)
+            misses = _tables.cache_info().misses
+            assert list(enumerate_wbm(p, n_guard=12)) == []
+            assert _tables.cache_info().misses == misses
 
     def test_complement_maps_down_sets_onto_up_sets(self):
         # the walk forces P on the up-set of i's complement when i turns N
@@ -697,6 +707,23 @@ class TestGamma:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("d", [1, 5 * 10**5])
+    def test_the_guard_refuses_psi_before_any_lattice(self, d):
+        # the guard reads n alone: a lattice per r, built first, would
+        # take seconds and over 100 MiB here, and so would C(n, n/2)
+        guard = "out of desk scale: n=1000000 exceeds the enumeration guard 5"
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(ResourceLimitError, match=guard):
+                psi(10**6, d)
+            took = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert took < 0.1
         assert peak < 1 << 20
 
     def test_cap_counts_the_labelings_the_pruned_walk_reaches(self):

@@ -185,12 +185,18 @@ class TestWordBasics:
         b = Word(LatticeParams(3, 2), 1)
         assert a != b
         assert hash(a) != hash(b) or a != b
+        # anything but a Word is unequal, via NotImplemented
+        assert a.__eq__(5) is NotImplemented
+        assert a != 5 and not a == 5
 
     @pytest.mark.parametrize("mask", [1.5, 1.0, True, "1"])
     def test_rejects_non_int_masks(self, mask):
         # 1.5 would build a word whose str() fails; True would equal mask 1
         with pytest.raises(DomainError):
             Word(LatticeParams(3, 1), mask)
+        # an int past the lattice's 2^n words is out of range
+        with pytest.raises(DomainError, match="out of range"):
+            Word(LatticeParams(3, 1), 1 << 3)
 
     def test_word_from_subset_rejects_foreign_symbols(self):
         p = LatticeParams(4, 2)
@@ -198,6 +204,8 @@ class TestWordBasics:
             word_from_subset(p, [Symbol.pos(3)])
         with pytest.raises(DomainError):
             word_from_subset(p, [ZERO])
+        with pytest.raises(DomainError, match="not a symbol"):
+            word_from_subset(p, [1])
 
 
 class TestParseErrors:
@@ -532,6 +540,9 @@ class TestCartesian:
         left, right = cartesian_split(parse_word(p, "20|0013"))
         with pytest.raises(DomainError):
             cartesian_merge(right, left)
+        # a right factor outside L(b, 0)
+        with pytest.raises(DomainError, match="right factor"):
+            cartesian_merge(left, parse_word(LatticeParams(2, 1), "1|0"))
 
 
 class TestEnumeration:

@@ -197,6 +197,12 @@ class TestRowsAsGiven:
         with pytest.raises(TypeError):
             feasible_point([((1,), 1)], bad)
 
+    def test_rejects_a_bad_shape(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            feasible_point([], -1)
+        with pytest.raises(ValueError, match="expected 2"):
+            feasible_point([((1,), 1)], 2)
+
 
 def record_refutes(monkeypatch):
     """Replace `refutes` by a wrapper that records each ``(y, verdict)``."""

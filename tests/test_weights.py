@@ -59,6 +59,9 @@ class TestValidation:
     def test_rejects_floats(self):
         with pytest.raises(ValidationError, match="float"):
             NrFunction(LatticeParams(2, 1), (0.5,), (F(-1),))
+        # nor anything else Fraction cannot read
+        with pytest.raises(ValidationError, match="not a rational"):
+            NrFunction(LatticeParams(2, 1), ([1],), (F(-1),))
 
     def test_rejects_bools(self):
         with pytest.raises(ValidationError, match="bool"):
@@ -192,6 +195,8 @@ class TestFixture:
         assert f.neg_values == (F(-1, 3),) * 3
         assert f.total == 0
         assert f.is_weight
+        pos, neg = ", ".join(["1/5"] * 5), ", ".join(["-1/3"] * 3)
+        assert str(f) == f"NrFunction(L(8, 5); pos=[{pos}], neg=[{neg}])"
 
     def test_f85_counts(self):
         f = load_f85()
@@ -241,6 +246,8 @@ class TestJsonAndFiles:
             {"n": 2, "r": 1, "tilde": [" 3"], "bar": ["-1"]},
             {"n": 2, "r": 1, "tilde": ["+2"], "bar": ["-1"]},
             {"n": 2, "r": 1, "tilde": ["1_000"], "bar": ["-1"]},
+            # not an object
+            [1],
         ],
     )
     def test_rejects_malformed_documents(self, doc):
