@@ -51,7 +51,8 @@ its slack entries, a row of the basis inverse, are Farkas multipliers
 ``y >= 0`` with ``y A >= 0`` and ``y b < 0``: the entries of its
 nonbasic slack columns, ``D`` at its own basic variable if that is a
 slack, and 0 at every other basic slack.  `refutes` checks them before
-None is returned.
+None is returned, and a caller that passes a list as ``farkas`` gets
+them in it, one per row, to keep or re-check.
 """
 
 from __future__ import annotations
@@ -95,10 +96,14 @@ def refutes(rows: Sequence, y: Sequence) -> bool:
     return total < 0 and all(c >= 0 for c in combined)
 
 
-def feasible_point(rows: Sequence, num_vars: int) -> Optional[tuple[list[int], int]]:
+def feasible_point(
+    rows: Sequence, num_vars: int, farkas: Optional[list] = None
+) -> Optional[tuple[list[int], int]]:
     """One exact solution ``x >= 0`` of ``coeffs . x <= bound`` rows as
     ``(values, divisor)`` in lowest terms, or None.  The returned point
-    is deterministic for a given system."""
+    is deterministic for a given system.  On None, a list passed as
+    ``farkas`` is filled with the checked multipliers ``y`` that refute
+    the rows; on a point it is left as it was."""
     if type(num_vars) is not int:
         raise TypeError(f"num_vars must be an int, got {num_vars!r}")
     if num_vars < 0:
@@ -143,6 +148,8 @@ def feasible_point(rows: Sequence, num_vars: int) -> Optional[tuple[list[int], i
                 y[basis[leaving] - num_vars] = divisor
             if not refutes(rows, y):
                 raise RuntimeError("Farkas multipliers fail to refute the rows; the tableau is corrupt")
+            if farkas is not None:
+                farkas[:] = y
             return None
         # the leaving variable takes the entering one's column, where
         # every other row keeps its entry f and the pivot row gets -D

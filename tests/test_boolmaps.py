@@ -474,6 +474,33 @@ class TestEnumerate:
         assert count == 2250
 
 
+def small_lattice_masks():
+    """Every labeling of L(n, r), n <= 4, and every weighted one at n = 5
+    and 6, as ``(params, masks)`` per lattice."""
+    lattices = [
+        (LatticeParams(n, r), range(1 << (1 << n))) for n in range(1, 5) for r in range(n + 1)
+    ]
+    for n in (5, 6):
+        for r in range(1, n):
+            p = LatticeParams(n, r)
+            lattices.append((p, [m.mask for m in enumerate_wbm(p, n_guard=6)]))
+    return lattices
+
+
+def counting_lps(monkeypatch):
+    """Count the LPs ``is_representable`` poses from here on."""
+    from marklat import feasibility
+
+    posed = [0]
+
+    def counting(*args):
+        posed[0] += 1
+        return feasibility.feasible_point(*args)
+
+    monkeypatch.setattr(boolmaps, "feasible_point", counting)
+    return posed
+
+
 class TestRepresentability:
     def test_weight_flag_separates_this_map(self):
         # {0|0, 1|0} is induced by x=0, y=-1 but by no valuation with a
@@ -561,14 +588,17 @@ class TestRepresentability:
 
         systems = []
 
-        def recording(rows, num_vars):
+        def recording(rows, num_vars, farkas=None):
             systems.append(rows)
-            return feasibility.feasible_point(rows, num_vars)
+            return feasibility.feasible_point(rows, num_vars, farkas)
 
         monkeypatch.setattr(boolmaps, "feasible_point", recording)
+        # with no stored refusal, every labeling poses its LP
         for r in range(5):
             for m in enumerate_wbm(LatticeParams(4, r)):
+                boolmaps._nogoods.cache_clear()
                 is_representable(m)
+                boolmaps._nogoods.cache_clear()
                 is_representable(m, require_weight=False)
         assert systems
         assert all(any(coeffs) for rows in systems for coeffs, _ in rows)
@@ -581,25 +611,20 @@ class TestRepresentability:
 
         systems = []
 
-        def recording(rows, num_vars):
+        def recording(rows, num_vars, farkas=None):
             systems.append(rows)
-            return feasibility.feasible_point(rows, num_vars)
+            return feasibility.feasible_point(rows, num_vars, farkas)
 
         monkeypatch.setattr(boolmaps, "feasible_point", recording)
-        lattices = [
-            (LatticeParams(n, r), range(1 << (1 << n))) for n in range(1, 5) for r in range(n + 1)
-        ]
-        for n in (5, 6):
-            for r in range(1, n):
-                p = LatticeParams(n, r)
-                lattices.append((p, [m.mask for m in enumerate_wbm(p, n_guard=6)]))
-        for p, masks in lattices:
+        for p, masks in small_lattice_masks():
             _, up, down = leq_table(p)
             full = (1 << p.n) - 1
             for mask in masks:
                 rows = boundary_rows(p, up, down, mask)
                 for require_weight in (True, False):
                     systems.clear()
+                    # with no stored refusal, every labeling poses its LP
+                    boolmaps._nogoods.cache_clear()
                     is_representable(BooleanMap._from_mask(p, mask), require_weight)
                     posed = rows is not None and (mask >> full & 1 or not require_weight)
                     assert systems == ([rows] if posed else [])
@@ -631,6 +656,86 @@ class TestRepresentability:
         res = is_representable(m)
         assert res.representable
         assert induced_map(res.witness).p_set == m.p_set
+
+
+class TestNogoods:
+    def test_the_store_never_changes_an_answer(self, monkeypatch):
+        # a warm store against one cleared before each call, then every
+        # entry the warm store kept against its own rows
+        from marklat.feasibility import refutes
+
+        posed = counting_lps(monkeypatch)
+        warm_lps = cold_lps = 0
+        for p, masks in small_lattice_masks():
+            maps = [BooleanMap._from_mask(p, mask) for mask in masks]
+            boolmaps._nogoods.cache_clear()
+            before = posed[0]
+            warm = [is_representable(m, w) for m in maps for w in (True, False)]
+            warm_lps += posed[0] - before
+            store = list(boolmaps._nogoods(p))
+            cold = []
+            before = posed[0]
+            for m in maps:
+                for w in (True, False):
+                    boolmaps._nogoods.cache_clear()
+                    cold.append(is_representable(m, w))
+            cold_lps += posed[0] - before
+            assert [(a.status, a.witness) for a in warm] == [(b.status, b.witness) for b in cold]
+
+            pos_half, neg_half = boolmaps._row_halves(p)
+            low = (1 << p.r) - 1
+
+            def row(m, side):
+                neg_coeffs, bound = neg_half[m >> p.r][side]
+                return pos_half[m & low][side] + neg_coeffs, bound
+
+            for p_words, watch, rows, y in store:
+                assert refutes(rows, y)
+                assert p_words & ~watch == 0
+                n_words = watch ^ p_words
+                named = [(m, 0) for m in range(1 << p.n) if p_words >> m & 1]
+                named += [(m, 1) for m in range(1 << p.n) if n_words >> m & 1]
+                weighed = [rows[i] for i, v in enumerate(y) if v]
+                assert weighed == [row(m, side) for m, side in named]
+        # the warm store answered some refusals with no LP
+        assert warm_lps < cold_lps
+
+    @pytest.mark.parametrize(
+        "search, value, digest, ceiling",
+        [
+            (
+                lambda: gamma_d(LatticeParams(8, 5), 5, n_guard=8), 16,
+                "7814747c2d0f317e23b11a138faedd51490a43e3f5adfbad3ef2a576ff7743c4", 178,
+            ),
+            (
+                lambda: gamma_d(LatticeParams(8, 3), 5, n_guard=8), 20,
+                "5db943d2ceee5f0a5f8d9fda12bb2eafc28c82c590eeadf8514ae2da95700835", 202,
+            ),
+            (
+                lambda: psi(8, 3, n_guard=8), 16,
+                "539dd09cd73a7d6c817aa58669aed1e10210b6ddcaa9747b952a5821a6190f97", 118,
+            ),
+            (
+                lambda: psi(8, 5, n_guard=8), 16,
+                "7814747c2d0f317e23b11a138faedd51490a43e3f5adfbad3ef2a576ff7743c4", 454,
+            ),
+        ],
+        ids=["gamma_d(L(8,5),5)", "gamma_d(L(8,3),5)", "psi(8,3)", "psi(8,5)"],
+    )
+    def test_n8_frontier_values_are_pinned(self, monkeypatch, search, value, digest, ceiling):
+        # sha256 over value, r, minimizer mask and witness, pinned before
+        # refusals were kept; the store answers all but a few hundred of
+        # the 9,085-59,772 refusals these searches met with an LP each
+        boolmaps._nogoods.cache_clear()
+        posed = counting_lps(monkeypatch)
+        res = search()
+        m, f = res.minimizer, res.witness
+        pos = ",".join(map(str, f.pos_values))
+        neg = ",".join(map(str, f.neg_values))
+        line = f"{res.value}|{m.params.r}|{m.mask}|{pos}|{neg}"
+        assert res.value == value
+        assert hashlib.sha256(line.encode()).hexdigest() == digest
+        assert posed[0] <= ceiling
 
 
 class TestGamma:

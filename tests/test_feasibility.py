@@ -402,3 +402,11 @@ def test_condensed_tableau_takes_the_full_tableaus_pivots(monkeypatch, systems):
             values, divisor = point
             assert [F(v, divisor) for v in values] == want_point
         assert [y for y, _ in certificates] == ([] if want_y is None else [want_y])
+        # the same multipliers come back in an out-list on a refusal; a
+        # point leaves the list as it was
+        farkas = ["untouched"]
+        assert feasible_point(rows, num_vars, farkas) == point
+        if point is None:
+            assert farkas == want_y and refutes(rows, farkas)
+        else:
+            assert farkas == ["untouched"]
