@@ -24,10 +24,17 @@ must make P, then the N step on the negative unit, so each branch it
 pushes holds one and it tests no conflicts.  A state is its P-region
 and its undecided words, the latter as a mask over positions in the
 top-down decision order: the next word to decide is its lowest set bit.
-That order, the closures and the root are built for the lattice being
-walked, the last one's dropped first (``_tables``).  Each lattice also
-keeps the Farkas certificate of every LP it refused (``_nogoods``), and
-a labeling that repeats one's P and N words is refused with no LP.
+The subtree below a state depends on its undecided words alone, so a
+state with at most ``_MEMO_BITS`` of them pushes nothing: the walk ORs
+into its P-region each mask that subtree would add, listed once per
+walk (``_completions``), in the same order and with the incumbent and
+the cap tested leaf by leaf, so it yields exactly what pushing every
+state would.  An unpruned walk of L(7,5) pops 33,289 states, not the
+239,617 of its whole tree.  That order, the closures and the root are
+built for the lattice being walked, the last one's dropped first
+(``_tables``).  Each lattice also keeps the Farkas certificate of every
+LP it refused (``_nogoods``), and a labeling that repeats one's P and N
+words is refused with no LP.
 Every minimum (the report's two, psi's over all r) is one branch and
 bound over such walks, ``_lower``; past ``n_guard`` it refuses before
 building any lattice.  The report's own loop only counts labelings.
@@ -104,7 +111,7 @@ def check_axioms(bmap: BooleanMap) -> AxiomCheck:
     p = bmap.mask
     full = (1 << params.n) - 1
     violated = []
-    if _p_covers(params, p) & ~p:
+    if _p_covers(_cover_shifts(params), p) & ~p:
         violated.append("monotone")
     if not p & 1:
         violated.append("zero_word")
@@ -136,11 +143,12 @@ def _cover_shifts(params: LatticeParams) -> tuple:
     return tuple(lows.items())
 
 
-def _p_covers(params: LatticeParams, pos: int) -> int:
-    """Labeling mask of the words covering some word of ``pos``: the
-    P-region ``pos`` is an up-set exactly when this lies inside it."""
+def _p_covers(shifts: tuple, pos: int) -> int:
+    """Labeling mask of the words covering some word of ``pos``, by a
+    lattice's ``_cover_shifts``: the P-region ``pos`` is an up-set
+    exactly when this lies inside it."""
     covers = 0
-    for shift, lows in _cover_shifts(params):
+    for shift, lows in shifts:
         covers |= _shifted(pos & lows, shift)
     return covers
 
@@ -291,11 +299,23 @@ def enumerate_wbm(
     return _enumerate_wbm(params, cap, _incumbent)
 
 
+# a state whose undecided mask has at most this many bits yields its
+# subtree's leaves from the walk's memo, one per completion, instead of
+# pushing the subtree.  A warm L(7,5) census through bench/worker.py's
+# consumer (fastest of 15, in 3 processes, Python 3.11, 2-core VM) took
+# 121-127 ms pushing every state and 98-104 / 92-97 / 92-95 / 90-95 ms at
+# 4 / 6 / 8 / 10 bits, with the memo peaking at 0.16 / 0.40 / 0.76 /
+# 1.24 MiB (tracemalloc); at 6 bits the L(7,4) memo peaks at 3.8 MiB
+# (BENCH_search.json, memo_walk)
+_MEMO_BITS = 6
+
+
 def _enumerate_wbm(params, cap, incumbent) -> Iterator[BooleanMap]:
     up, keep, decision, root = _tables(params)
     full = (1 << params.n) - 1
 
     emitted = 0
+    memo = {0: (0,)}
     # pending branches sit on an explicit stack, not the call stack, so
     # the lattice's depth never meets the recursion limit
     stack = [root]
@@ -304,14 +324,21 @@ def _enumerate_wbm(params, cap, incumbent) -> Iterator[BooleanMap]:
         # pos only grows down the tree: no leaf below holds fewer P-words
         if incumbent is not None and (pos & incumbent.slice).bit_count() >= incumbent.size:
             continue
-        if not undecided:
-            if emitted >= cap:
-                raise ResourceLimitError(
-                    f"labeling enumeration for {params} exceeded the cap of {cap}",
-                    count=emitted,
-                )
-            emitted += 1
-            yield BooleanMap._from_mask(params, pos)
+        if undecided.bit_count() <= _MEMO_BITS:
+            # the subtree's leaves in walk order.  The incumbent only falls
+            # between yields and pos only grows, so a leaf passes exactly
+            # when the tree walk would have reached it
+            for c in _completions(memo, undecided, up, keep, decision, full):
+                leaf = pos | c
+                if incumbent is not None and (leaf & incumbent.slice).bit_count() >= incumbent.size:
+                    continue
+                if emitted >= cap:
+                    raise ResourceLimitError(
+                        f"labeling enumeration for {params} exceeded the cap of {cap}",
+                        count=emitted,
+                    )
+                emitted += 1
+                yield BooleanMap._from_mask(params, leaf)
             continue
         # the next word is the first undecided one in decision order
         low = undecided & -undecided
@@ -327,6 +354,28 @@ def _enumerate_wbm(params, cap, incumbent) -> Iterator[BooleanMap]:
         # down[i] and up[i ^ full], runs first
         stack.append((pos | up[i], undecided ^ low))
         stack.append((pos | up[i ^ full], undecided & keep[i]))
+
+
+def _completions(memo, undecided, up, keep, decision, full) -> tuple:
+    """The masks the walk's subtree below ``undecided`` ORs into its
+    state's P-region, one per leaf, in walk order (N before P), kept in
+    ``memo`` by undecided mask.  Each branch decides
+    ``decision[lowest bit]``, and both children's undecided masks and
+    what they add depend on the undecided mask alone.  A child drops a
+    bit, so the recursion is at most one frame per bit deep; ``memo``
+    starts as ``{0: (0,)}``, the leaf."""
+    found = memo.get(undecided)
+    if found is None:
+        low = undecided & -undecided
+        i = decision[low.bit_length() - 1]
+        n_adds, p_adds = up[i ^ full], up[i]
+        n_side = _completions(memo, undecided & keep[i], up, keep, decision, full)
+        p_side = _completions(memo, undecided ^ low, up, keep, decision, full)
+        found = memo[undecided] = (
+            *[n_adds | c for c in n_side],
+            *[p_adds | c for c in p_side],
+        )
+    return found
 
 
 @dataclass(frozen=True)
@@ -353,7 +402,8 @@ def is_representable(bmap: BooleanMap, require_weight: bool = True) -> Represent
     neg = ((1 << (1 << n)) - 1) ^ pos
     # one shift per cover kind moves a whole labeling onto the covers: a
     # P-word covered by an N-word breaks the up-set
-    p_covers = _p_covers(params, pos)
+    shifts = _cover_shifts(params)
+    p_covers = _p_covers(shifts, pos)
     if p_covers & neg:
         return RepresentabilityResult(False, None)
     # the weight flag asks for a nonnegative total, the full word's sum:
@@ -369,7 +419,7 @@ def is_representable(bmap: BooleanMap, require_weight: bool = True) -> Represent
         if pos & watch == p_words:
             return RepresentabilityResult(False, None)
     n_covered = 0
-    for shift, lows in _cover_shifts(params):
+    for shift, lows in shifts:
         n_covered |= _shifted(neg, -shift) & lows
     # the map is monotone, so constraining only the boundary words is
     # enough: every other word's sum lies above a minimal P (no P lower

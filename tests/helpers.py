@@ -7,12 +7,15 @@ ranks from breadth-first search over those covers.  Only Word.values is
 trusted (it is itself pinned against hand examples in test_core).
 """
 
+import contextlib
 import json
+import sys
 from fractions import Fraction
 from itertools import groupby
 from math import lcm
 
 from marklat.core import Word
+from marklat.errors import ResourceLimitError
 from marklat.hasse import diagram_to_json
 
 SEED = 1729
@@ -26,6 +29,20 @@ MALFORMED_JSON = {
     "digits.json": b'{"n": 1, "r": 1, "tilde": [' + b"9" * 5000 + b'], "bar": []}',
     "nested.json": b"[" * 200_000,
 }
+
+
+@contextlib.contextmanager
+def shallow_stack():
+    """A recursion limit a few dozen frames above the caller's depth."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def all_words(params):
@@ -241,6 +258,32 @@ def scan_walk_masks(params, up, down, decision):
             if st is not None:
                 stack.append((*st, at + 1))
     return out
+
+
+def tree_walk_masks(params, tables, cap, incumbent=None):
+    """P-region masks of the weighted labelings from the labeling walk
+    with every state on its stack: ``tables`` as ``boolmaps._tables``
+    returns them, N before P, each state cut whose P-region already holds
+    ``incumbent.size`` words of ``incumbent.slice``, and a resource error
+    carrying the count once more than ``cap`` leaves would be yielded."""
+    up, keep, decision, root = tables
+    full = (1 << params.n) - 1
+    emitted = 0
+    stack = [root]
+    while stack:
+        pos, undecided = stack.pop()
+        if incumbent is not None and (pos & incumbent.slice).bit_count() >= incumbent.size:
+            continue
+        if not undecided:
+            if emitted >= cap:
+                raise ResourceLimitError(f"more than {cap} labelings", count=emitted)
+            emitted += 1
+            yield pos
+            continue
+        low = undecided & -undecided
+        i = decision[low.bit_length() - 1]
+        stack.append((pos | up[i], undecided ^ low))
+        stack.append((pos | up[i ^ full], undecided & keep[i]))
 
 
 def boundary_rows(params, up, down, pos):

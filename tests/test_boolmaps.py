@@ -3,7 +3,6 @@ import hashlib
 import itertools
 import json
 import random
-import sys
 import time
 import tracemalloc
 from math import comb
@@ -48,6 +47,8 @@ from helpers import (
     full_tableau_point,
     leq_table,
     scan_walk_masks,
+    shallow_stack,
+    tree_walk_masks,
     tuple_levels_and_edges,
 )
 
@@ -234,9 +235,10 @@ class TestCheckAxioms:
             for r in range(0, n + 1):
                 p = LatticeParams(n, r)
                 words = all_words(p)
+                shifts = boolmaps._cover_shifts(p)
                 for w in words:
                     covers = sum(1 << v.mask for v in words if is_cover(w, v))
-                    assert boolmaps._p_covers(p, 1 << w.mask) == covers
+                    assert boolmaps._p_covers(shifts, 1 << w.mask) == covers
 
     def test_all_p_fails_negative_unit_only(self):
         p = LatticeParams(3, 1)
@@ -460,18 +462,54 @@ class TestEnumerate:
                     assert up[m ^ full] == image
 
     def test_walk_depth_does_not_grow_with_the_lattice(self):
-        depth = 0
-        frame = sys._getframe()
-        while frame is not None:
-            depth += 1
-            frame = frame.f_back
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(depth + 40)
-        try:
+        with shallow_stack():
             count = sum(1 for _ in enumerate_wbm(LatticeParams(6, 3), n_guard=6))
-        finally:
-            sys.setrecursionlimit(limit)
         assert count == 2250
+
+    def test_memo_recursion_stays_shallow_at_n13(self):
+        # the memo recurses one frame per undecided bit, at most 7 deep,
+        # below states whose undecided words run to thousands at n = 13
+        with shallow_stack():
+            assert gamma_tilde(LatticeParams(13, 6), n_guard=13).value == 4097
+
+    def test_memo_walk_matches_the_tree_walk_when_pruned_and_capped(self):
+        # the oracle pushes every state; the library yields the leaves
+        # below small undecided sets from its memo.  Under a consumer that
+        # lowers the incumbent at each yield, as _lower does, both yield
+        # the same masks, over all words and on each d-mark slice, and a
+        # cap fires at the same count
+        def lowered(masks, incumbent):
+            got = []
+            try:
+                for mask in masks:
+                    got.append(mask)
+                    incumbent.size = (mask & incumbent.slice).bit_count()
+            except ResourceLimitError as err:
+                return got, err.count
+            return got, None
+
+        for n in range(2, 7):
+            for r in range(1, n):
+                p = LatticeParams(n, r)
+                for d in (None, *range(1, n + 1)):
+                    slice_mask = (1 << (1 << n)) - 1 if d is None else _d_slice(n, d)
+
+                    def both(cap):
+                        incumbent = boolmaps._Incumbent(slice_mask)
+                        walk = enumerate_wbm(p, cap=cap, n_guard=6, _incumbent=incumbent)
+                        got = lowered((m.mask for m in walk), incumbent)
+                        incumbent = boolmaps._Incumbent(slice_mask)
+                        oracle = tree_walk_masks(p, _tables(p), cap, incumbent)
+                        return got, lowered(oracle, incumbent)
+
+                    got, want = both(boolmaps.DEFAULT_CAP)
+                    assert got == want
+                    masks, stopped = got
+                    assert masks and stopped is None
+                    for cap in range(len(masks) + 1):
+                        got, want = both(cap)
+                        assert got == want
+                        assert got == (masks[:cap], None if cap == len(masks) else cap)
 
 
 def small_lattice_masks():
