@@ -37,7 +37,10 @@ LP it refused (``_nogoods``), and a labeling that repeats one's P and N
 words is refused with no LP.
 Every minimum (the report's two, psi's over all r) is one branch and
 bound over such walks, ``_lower``; past ``n_guard`` it refuses before
-building any lattice.  The report's own loop only counts labelings.
+building any lattice.  The report's own loop only counts labelings: it
+decides each on the LP's integer point (``_decide``), re-checked over
+all 2^n words in integers, and builds no valuation.  Only
+:func:`is_representable` builds an ``NrFunction``, its witness.
 
 These notions degenerate at the ends: at r = n no negative mark exists,
 and at r = 0 the full word, P, is the bottom, so the negative unit
@@ -52,13 +55,25 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain
 from math import comb, inf
+from operator import ge, le
 from typing import Iterator, Optional
 
 from . import hasse
-from .core import BooleanMap, LatticeParams, _check_d, _check_params, _d_slice, enumerate_words
+# enumerate_words is looked up here by bench/spans.py, which traces it
+from .core import (  # noqa: F401
+    BooleanMap,
+    GenOrder,
+    LatticeParams,
+    _canonical_levels,
+    _check_d,
+    _check_params,
+    _d_slice,
+    _side_texts,
+    enumerate_words,
+)
 from .errors import DomainError, ResourceLimitError
 from .feasibility import feasible_point
-from .weights import NrFunction, induced_map
+from .weights import NrFunction, _sign_mask, induced_map
 
 __all__ = [
     "BooleanMap",
@@ -397,19 +412,39 @@ def is_representable(bmap: BooleanMap, require_weight: bool = True) -> Represent
     to induce the map letter for letter before it is handed out.
     """
     params = _params_of(bmap)
-    n, r = params.n, params.r
     pos = bmap.mask
+    point = _decide(params, pos, require_weight)
+    if point is None:
+        return RepresentabilityResult(False, None)
+    # one Fraction per mark over the point's divisor
+    vals, s = point
+    r = params.r
+    witness = NrFunction(
+        params, tuple(Fraction(v, s) for v in vals[:r]), tuple(Fraction(v, s) for v in vals[r:])
+    )
+    if induced_map(witness).mask != pos:
+        raise RuntimeError(f"feasibility witness fails to induce the map on {params}")
+    return RepresentabilityResult(True, witness)
+
+
+def _decide(params: LatticeParams, pos: int, require_weight: bool = True) -> Optional[tuple]:
+    """The decision behind :func:`is_representable` for the labeling mask
+    ``pos``: ``(vals, s)``, integer mark values in mask bit order over one
+    divisor ``s > 0`` of a valuation the LP found for it, or None when
+    none exists.  The values are not checked against ``pos`` here: each
+    caller checks them over all words."""
+    n, r = params.n, params.r
     neg = ((1 << (1 << n)) - 1) ^ pos
     # one shift per cover kind moves a whole labeling onto the covers: a
     # P-word covered by an N-word breaks the up-set
     shifts = _cover_shifts(params)
     p_covers = _p_covers(shifts, pos)
     if p_covers & neg:
-        return RepresentabilityResult(False, None)
+        return None
     # the weight flag asks for a nonnegative total, the full word's sum:
     # exactly that the full word is P
     if require_weight and not pos >> ((1 << n) - 1) & 1:
-        return RepresentabilityResult(False, None)
+        return None
     # an earlier refusal whose P and N words this map repeats refutes it.
     # Newest first: a walk's next leaves share most labels with its last
     # ones (gamma_d(L(8,4), 3): 5.0 s oldest first, 2.7 s newest first,
@@ -417,7 +452,7 @@ def is_representable(bmap: BooleanMap, require_weight: bool = True) -> Represent
     nogoods = _nogoods(params)
     for p_words, watch, _, _ in reversed(nogoods):
         if pos & watch == p_words:
-            return RepresentabilityResult(False, None)
+            return None
     n_covered = 0
     for shift, lows in shifts:
         n_covered |= _shifted(neg, -shift) & lows
@@ -456,16 +491,20 @@ def is_representable(bmap: BooleanMap, require_weight: bool = True) -> Represent
         # an empty list (a caller that dropped it) must not refute all
         if watch:
             nogoods.append((watch & minimal_p, watch, rows, farkas))
-        return RepresentabilityResult(False, None)
-    # a mark's value is a prefix sum of increments: sum them in integers
-    # over the point's divisor s, then make one Fraction per mark
+        return None
+    # a mark's value is a prefix sum p of its side's increments, summed in
+    # integers over the point's divisor s: f(pos(i)) = p / s and, as the
+    # first negative increment is -1 - f(neg(1)), f(neg(j)) = (-s - p) / s
     ints, s = point
-    pos_values = tuple(Fraction(p, s) for p in accumulate(ints[:r]))
-    neg_values = tuple(Fraction(-s - p, s) for p in accumulate(ints[r:]))
-    witness = NrFunction(params, pos_values, neg_values)
-    if induced_map(witness).mask != pos:
-        raise RuntimeError(f"feasibility witness fails to induce the map on {params}")
-    return RepresentabilityResult(True, witness)
+    return (*accumulate(ints[:r]), *(-s - p for p in accumulate(ints[r:]))), s
+
+
+def _on_chain(vals: tuple, s: int, r: int) -> bool:
+    """Whether integer mark values in mask bit order over a divisor s
+    are admissible: s > 0, 0 <= pos(1) <= ... <= pos(r) and
+    0 > neg(1) >= ... >= neg(n-r), the first as -1 >= neg(1) in integers."""
+    pos, neg = (0, *vals[:r]), (-1, *vals[r:])
+    return s > 0 and all(map(le, pos, pos[1:])) and all(map(ge, neg, neg[1:]))
 
 
 @dataclass(frozen=True)
@@ -625,7 +664,12 @@ def wb_vs_rwb_report(
     bad = [] if collect_non_representable else None
     for bmap in enumerate_wbm(params, cap=cap, n_guard=n_guard):
         wb += 1
-        if is_representable(bmap).representable:
+        # the verdict alone: the LP's point, checked in integers to be an
+        # admissible valuation that induces the map, with no witness built
+        point = _decide(params, bmap.mask)
+        if point is not None:
+            if not _on_chain(*point, params.r) or _sign_mask(point[0]) != bmap.mask:
+                raise RuntimeError(f"feasibility point fails to induce the map on {params}")
             rwb += 1
         elif bad is not None:
             bad.append(bmap)
@@ -641,24 +685,38 @@ def wb_vs_rwb_report(
     )
 
 
+def _word_table(params: LatticeParams) -> list:
+    """Every word of L(n, r) as ``(mask, str(word))``, in canonical order."""
+    pos, neg = _side_texts(params)
+    r = params.r
+    low = (1 << r) - 1
+    levels = _canonical_levels(params, GenOrder.OUT_IN)
+    return [(m, pos[m & low] + neg[m >> r]) for level in levels for m in level]
+
+
+def _p_set_json(table: list, p: int) -> dict:
+    return {"p_set": [text for m, text in table if p >> m & 1]}
+
+
 def map_to_json(bmap: BooleanMap) -> dict:
     """JSON form of a labeling: its P-words in canonical order."""
-    params, p = _params_of(bmap), bmap.mask
-    return {"p_set": [str(w) for w in enumerate_words(params) if p >> w.mask & 1]}
+    return _p_set_json(_word_table(_params_of(bmap)), bmap.mask)
 
 
 def report_to_json(report: ExtremalReport) -> dict:
-    """The report as a dict; ``non_representable`` only if collected."""
+    """The report as a dict; ``non_representable`` only if collected.
+    Every map reads one word table, built once."""
+    table = _word_table(report.params)
     out = {
         "n": report.params.n,
         "r": report.params.r,
         "d": report.d,
         "gamma_tilde": report.gamma_tilde,
         "gamma": report.gamma,
-        "minimizer": map_to_json(report.minimizer),
+        "minimizer": _p_set_json(table, report.minimizer.mask),
         "wb_count": report.wb_count,
         "rwb_count": report.rwb_count,
     }
     if report.non_representable is not None:
-        out["non_representable"] = [map_to_json(b) for b in report.non_representable]
+        out["non_representable"] = [_p_set_json(table, b.mask) for b in report.non_representable]
     return out

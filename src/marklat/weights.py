@@ -184,15 +184,22 @@ def sigma(f: NrFunction, w: Word) -> Fraction:
     return total
 
 
+def _sign_mask(ints) -> int:
+    """The labeling mask of the words whose sum is >= 0, given integer
+    mark values in mask bit order: bit m is set when the values at the
+    set bits of m sum to >= 0."""
+    sums = _subset_sums(0, ints)
+    # bit m of the mask is word m's sign: read the signs highest mask first
+    return int("".join(["1" if s >= 0 else "0" for s in reversed(sums)]), 2)
+
+
 def induced_map(f: NrFunction):
     """The boolean map sending a word to P exactly when its sum is >= 0."""
     _check_fn(f)
     # one common multiple of the denominators turns every sum into an int
-    # of the same sign; sums[m] is the sum over the marks in mask m
+    # of the same sign
     scale = lcm(*(v.denominator for v in f._by_bit))
-    sums = _subset_sums(0, [v.numerator * (scale // v.denominator) for v in f._by_bit])
-    # bit m of the mask is word m's sign: read the signs highest mask first
-    mask = int("".join(["1" if s >= 0 else "0" for s in reversed(sums)]), 2)
+    mask = _sign_mask([v.numerator * (scale // v.denominator) for v in f._by_bit])
     return BooleanMap._from_mask(f.params, mask)
 
 

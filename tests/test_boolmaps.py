@@ -38,7 +38,14 @@ from marklat.core import (
 )
 from marklat.errors import DomainError, ResourceLimitError
 from marklat.hasse import build, children
-from marklat.weights import induced_map, load_f85, phi_count, random_nr_function, sigma
+from marklat.weights import (
+    NrFunction,
+    induced_map,
+    load_f85,
+    phi_count,
+    random_nr_function,
+    sigma,
+)
 
 from helpers import (
     SEED,
@@ -1176,6 +1183,97 @@ class TestReport:
         doc = map_to_json(m)
         order = [str(w) for w in enumerate_words(p)]
         assert doc["p_set"] == [s for s in order if parse_word(p, s) in m.p_set]
+
+    def test_map_to_json_matches_the_word_listing(self):
+        # the word-text table against one Word per listed word, on every
+        # weighted labeling with n <= 5
+        count = 0
+        for n in range(2, 6):
+            for r in range(1, n):
+                p = LatticeParams(n, r)
+                words = enumerate_words(p)
+                for m in enumerate_wbm(p):
+                    want = [str(w) for w in words if m.mask >> w.mask & 1]
+                    assert map_to_json(m) == {"p_set": want}
+                    count += 1
+        assert count == 163
+
+    def test_a_point_inducing_another_labeling_is_refused(self, monkeypatch):
+        # every increment 0 puts the negative marks at -1 and the full word
+        # in N, which every weighted labeling holds in P
+        def wrong(rows, num_vars, farkas=None):
+            return [0] * num_vars, 1
+
+        p = LatticeParams(4, 2)
+        monkeypatch.setattr(boolmaps, "feasible_point", wrong)
+        with pytest.raises(RuntimeError, match="witness fails to induce the map"):
+            is_representable(next(iter(enumerate_wbm(p))))
+        # from the census's own check, before the minima run
+        with pytest.raises(RuntimeError, match="point fails to induce the map"):
+            wb_vs_rwb_report(p)
+
+    def test_the_census_refuses_a_point_off_the_chain(self, monkeypatch):
+        # the right values over a negative divisor still induce the map,
+        # read sign for sign, but are no admissible valuation
+        deciding = boolmaps._decide
+
+        def negated(params, pos, require_weight=True):
+            point = deciding(params, pos, require_weight)
+            return point and (point[0], -point[1])
+
+        monkeypatch.setattr(boolmaps, "_decide", negated)
+        with pytest.raises(RuntimeError, match="point fails to induce the map"):
+            wb_vs_rwb_report(LatticeParams(4, 2))
+
+    def test_census_points_must_be_admissible(self):
+        # integer mark values (pos(1), pos(2), neg(1), neg(2)) over a divisor
+        assert boolmaps._on_chain((0, 2, -1, -3), 2, 2)
+        assert boolmaps._on_chain((1, 1, -3, -3), 1, 2)
+        assert not boolmaps._on_chain((0, 2, -1, -3), 0, 2)
+        assert not boolmaps._on_chain((-1, 2, -1, -3), 1, 2)
+        assert not boolmaps._on_chain((2, 1, -1, -3), 1, 2)
+        assert not boolmaps._on_chain((0, 2, 0, -3), 1, 2)
+        assert not boolmaps._on_chain((0, 2, -3, -1), 1, 2)
+
+    def test_only_is_representable_builds_witnesses(self, monkeypatch):
+        # the census decides on the LP's integer point: every valuation
+        # built during a report is a witness is_representable returned to
+        # the minima, fewer than the census's 647 representable labelings,
+        # for each of which it once built one
+        built, returned = [], []
+        post_init = NrFunction.__post_init__
+        deciding = boolmaps.is_representable
+
+        def counting_post_init(f):
+            built.append(f)
+            post_init(f)
+
+        def counting(bmap, require_weight=True):
+            res = deciding(bmap, require_weight)
+            if res.witness is not None:
+                returned.append(res.witness)
+            return res
+
+        monkeypatch.setattr(NrFunction, "__post_init__", counting_post_init)
+        monkeypatch.setattr(boolmaps, "is_representable", counting)
+        rep = wb_vs_rwb_report(LatticeParams(6, 3), n_guard=6)
+        assert (rep.wb_count, rep.rwb_count) == (2250, 647)
+        assert 0 < len(built) <= len(returned) < rep.rwb_count
+
+    def test_n6_reports_are_byte_identical(self):
+        # one sha256 over the JSON report of every L(6, r) in both collect
+        # modes: pinned while the census still built a witness per labeling
+        # and the JSON a Word per word
+        digest = hashlib.sha256()
+        for r in range(1, 6):
+            for collect in (True, False):
+                p = LatticeParams(6, r)
+                rep = wb_vs_rwb_report(p, n_guard=6, collect_non_representable=collect)
+                digest.update(json.dumps(report_to_json(rep)).encode())
+                digest.update(b"\n")
+        assert digest.hexdigest() == (
+            "308c26e306dd540045d5e836ac4a9e549c799f0cbf3010699b45ea0c2971d313"
+        )
 
     def test_reports_are_byte_identical(self):
         # one sha256 over the JSON report in both collect modes and the
